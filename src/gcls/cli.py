@@ -12,9 +12,11 @@ parsing and emitting again reproduces the bytes exactly.
 
 The command surface (``analyze``, ``translate``, ``solve``, ``autarky``,
 ``lean-kernel``, ``mu1``, ``encode``) is thin plumbing over the library.
-Exit codes: 0 success, 2 usage or input-format error, 3 refusal such as an
-exceeded brute-force cap, and for ``solve`` 10 satisfiable / 20
-unsatisfiable.
+Exit codes: 0 success, 1 internal error (one ``error: internal:`` line on
+stderr, never a traceback), 2 usage or input-format error, 3 refusal such as
+an exceeded brute-force cap, and for ``solve`` 10 satisfiable / 20
+unsatisfiable.  Every model and autarky is checked against the parsed input
+before it is printed; a failed check is an internal error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import re
 import sys
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .core import Clause, Literal, MultiClauseSet, VariableTable
+from .core import Clause, Literal, MultiClauseSet, PartialAssignment, VariableTable
 from .encode import hypergraph_coloring, parse_hypergraph, vdw_instance
 from .matching import (
     is_matching_lean,
@@ -37,6 +39,7 @@ from .satdec import (
     BruteForceCapExceeded,
     decide,
     find_nontrivial_autarky_bounded,
+    is_autarky,
     lean_kernel_bounded,
 )
 from .structure import classify_hitting, conflict_matrix, hermitian_rank
@@ -90,7 +93,7 @@ def _parse_header(tokens: List[Tuple[int, str]], line: int,
 
 
 def parse_gcls(text: str) -> MultiClauseSet:
-    """Parse the native format into a multi-clause-set (multiplicity view).
+    """Parse the native format into a multi-clause-set.
 
     Diagnostics carry the 1-based line and column of the offending token:
     variables outside the header range, values outside the declared domain,
@@ -366,21 +369,38 @@ def cmd_translate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _in_domains(phi: PartialAssignment, F: MultiClauseSet) -> bool:
+    return all(v in F.table and 0 <= e < F.table.domain_size(v) for v, e in phi.items())
+
+
+def _self_check(ok: bool, what: str) -> None:
+    """A wrong answer is an internal error, never printed output."""
+    if not ok:
+        raise RuntimeError(f"self-check failed: {what}")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
-    result = decide(_load(args.file), method=args.method)
+    F = _load(args.file)
+    result = decide(F, method=args.method)
     if not result.satisfiable:
         _write(None, "s UNSATISFIABLE\n")
         return 20
-    bindings = " ".join(f"{v}:{e}" for v, e in result.witness.items())
+    phi = result.witness
+    _self_check(_in_domains(phi, F) and all(map(phi.satisfies_clause, F.clauses())),
+                f"{phi!r} is not a model of the input")
+    bindings = " ".join(f"{v}:{e}" for v, e in phi.items())
     _write(None, f"s SATISFIABLE\nv{' ' if bindings else ''}{bindings}\n")
     return 10
 
 
 def cmd_autarky(args: argparse.Namespace) -> int:
-    phi = find_nontrivial_autarky_bounded(_load(args.file))
+    F = _load(args.file)
+    phi = find_nontrivial_autarky_bounded(F)
     if phi is None:
         _write(None, "LEAN\n")
     else:
+        _self_check(bool(phi) and _in_domains(phi, F) and is_autarky(phi, F),
+                    f"{phi!r} is not a non-trivial autarky of the input")
         bindings = " ".join(f"{v}:{e}" for v, e in phi.items())
         _write(None, f"AUTARKY\nv {bindings}\n")
     return 0
@@ -505,6 +525,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

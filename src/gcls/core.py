@@ -3,7 +3,10 @@
 Variables take values from finite domains {0, ..., size-1}.  A literal
 ``(v, e)`` is the constraint "v must not take value e"; a clause is a
 clashing-free set of such literals (at most one literal per variable), and a
-multi-clause-set maps clauses to positive multiplicities.
+multi-clause-set maps clauses to positive multiplicities.  There is one
+multiplicity model: every operation keeps multiplicities, and a clause-set is
+a multi-clause-set whose multiplicities are all 1, obtained with
+``MultiClauseSet.dedup``.
 
 A partial assignment satisfies a literal (v, e) iff it binds v to some value
 different from e, and falsifies it iff it binds v to e exactly.
@@ -141,18 +144,19 @@ def _clause_items(clauses) -> Iterator[Tuple[Clause, int]]:
 
 
 class MultiClauseSet:
-    """A map from clauses to positive multiplicities over a variable table.
+    """An immutable map from clauses to positive multiplicities over a table.
 
-    Iteration order of clauses is canonical (sorted literal tuples), so equal
-    objects print and serialise identically.  With set_view=True all
-    multiplicities collapse to 1 and stay that way under operations.
+    Every operation keeps multiplicities: clauses that become equal (say,
+    after crossing out variables) add up instead of merging.  A clause-set is
+    simply a multi-clause-set whose multiplicities are all 1; ``dedup`` is
+    the one way to get it.  Iteration order of clauses is canonical (sorted
+    literal tuples), so equal objects print and serialise identically.
     """
 
-    __slots__ = ("table", "set_view", "_clauses")
+    __slots__ = ("table", "_clauses")
 
-    def __init__(self, table: VariableTable, clauses=(), set_view: bool = False):
+    def __init__(self, table: VariableTable, clauses=()):
         self.table = table
-        self.set_view = bool(set_view)
         acc: Dict[Clause, int] = {}
         for clause, mult in _clause_items(clauses):
             if not isinstance(clause, Clause):
@@ -167,8 +171,6 @@ class MultiClauseSet:
                 if not 0 <= lit.value < table.domain_size(lit.var):
                     raise ValueError(f"value {lit.value} outside domain of variable {lit.var}")
             acc[clause] = acc.get(clause, 0) + mult
-        if self.set_view:
-            acc = {c: 1 for c in acc}
         self._clauses = {c: acc[c] for c in sorted(acc, key=Clause.sort_key)}
 
     # -- accessors ---------------------------------------------------------
@@ -189,13 +191,13 @@ class MultiClauseSet:
         return bool(self._clauses)
 
     def with_clauses(self, clauses) -> "MultiClauseSet":
-        return MultiClauseSet(self.table, clauses, set_view=self.set_view)
+        return MultiClauseSet(self.table, clauses)
 
-    def as_set(self) -> "MultiClauseSet":
-        return MultiClauseSet(self.table, self._clauses, set_view=True)
-
-    def as_multi(self) -> "MultiClauseSet":
-        return MultiClauseSet(self.table, self._clauses, set_view=False)
+    def dedup(self) -> "MultiClauseSet":
+        """This multi-clause-set with every multiplicity 1; self when already so."""
+        if all(m == 1 for m in self._clauses.values()):
+            return self
+        return MultiClauseSet(self.table, dict.fromkeys(self._clauses, 1))
 
     # -- measures ----------------------------------------------------------
 
@@ -245,7 +247,7 @@ class MultiClauseSet:
         acc = dict(self._clauses)
         for c, m in other._clauses.items():
             acc[c] = acc.get(c, 0) + m
-        return MultiClauseSet(table, acc, set_view=self.set_view and other.set_view)
+        return MultiClauseSet(table, acc)
 
     def __eq__(self, other) -> bool:
         """Equality of the clause maps plus domain sizes on occurring variables."""
@@ -452,7 +454,7 @@ def domain_uniformisation(F: MultiClauseSet) -> MultiClauseSet:
     acc: Dict[Clause, int] = dict(F.items())
     for unit in units:
         acc[unit] = acc.get(unit, 0) + 1
-    return MultiClauseSet(table, acc, set_view=F.set_view)
+    return MultiClauseSet(table, acc)
 
 
 def clause_to_assignment(clause: Clause) -> PartialAssignment:

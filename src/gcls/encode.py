@@ -100,7 +100,7 @@ def hypergraph_coloring(G: Hypergraph, num_colors: int) -> MultiClauseSet:
             raise ValueError("an empty hyperedge cannot be coloured")
         for color in range(num_colors):
             clauses[Clause((v, color) for v in edge)] = 1
-    return MultiClauseSet(table, clauses, set_view=True)
+    return MultiClauseSet(table, clauses)
 
 
 def strong_coloring(G: Hypergraph, num_colors: int) -> MultiClauseSet:
@@ -118,7 +118,7 @@ def strong_coloring(G: Hypergraph, num_colors: int) -> MultiClauseSet:
         for v, w in itertools.combinations(sorted(edge), 2):
             for color in range(num_colors):
                 clauses[Clause([(v, color), (w, color)])] = 1
-    return MultiClauseSet(table, clauses, set_view=True)
+    return MultiClauseSet(table, clauses)
 
 
 def vdw_instance(m: int, k: int, n: int) -> MultiClauseSet:
@@ -163,7 +163,7 @@ def list_hom(G1: Hypergraph, G2: Hypergraph,
                 continue
             clauses[Clause((v, allowed[v].index(w))
                            for v, w in zip(vertices, combo))] = 1
-    return MultiClauseSet(table, clauses, set_view=True)
+    return MultiClauseSet(table, clauses)
 
 
 class Structure(NamedTuple):
@@ -225,7 +225,7 @@ def _direct_hom(A: Structure, B: Structure, injective: bool) -> MultiClauseSet:
         for a, a2 in itertools.combinations(A.universe, 2):
             for b in targets:
                 clauses[Clause([(a, index[b]), (a2, index[b])])] = 1
-    return MultiClauseSet(table, clauses, set_view=True)
+    return MultiClauseSet(table, clauses)
 
 
 def _indirect_hom(A: Structure, B: Structure) -> MultiClauseSet:
@@ -259,7 +259,7 @@ def _indirect_hom(A: Structure, B: Structure) -> MultiClauseSet:
                 if any(y[k] != y2[k2] for k, k2 in shared):
                     clauses[Clause([(var_of[pair], idx),
                                     (var_of[pair2], idx2)])] = 1
-    return MultiClauseSet(VariableTable(sizes), clauses, set_view=True)
+    return MultiClauseSet(VariableTable(sizes), clauses)
 
 
 def relational_hom(A: Structure, B: Structure, injective: bool = False,

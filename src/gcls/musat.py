@@ -150,8 +150,7 @@ def tree_to_clause_set(tree: DeficiencyOneTree) -> MultiClauseSet:
             walk(child, path + [(node.var, value)])
 
     walk(tree, [])
-    return MultiClauseSet(VariableTable(sizes), {c: 1 for c in clauses},
-                          set_view=True)
+    return MultiClauseSet(VariableTable(sizes), {c: 1 for c in clauses})
 
 
 class Mu1Verdict(NamedTuple):
@@ -179,16 +178,15 @@ def recognize_mu1(F: MultiClauseSet) -> Mu1Verdict:
     """
     if any(mult > 1 for _, mult in F.items()):
         return Mu1Verdict("not_mu1", (), "a repeated clause is redundant")
-    G = F.as_set()
     steps = []
     while True:
-        if G.items() == ((BOT, 1),):
+        if F.items() == ((BOT, 1),):
             return Mu1Verdict("mu1", tuple(steps))
-        v = next((w for w in sorted(G.var_set()) if is_singular(G, w)), None)
+        v = next((w for w in sorted(F.var_set()) if is_singular(F, w)), None)
         if v is None:
             return Mu1Verdict("not_mu1", tuple(steps),
                               "no singular variable left")
-        G, degenerate = singular_dp(G, v)
+        F, degenerate = singular_dp(F, v)
         steps.append(v)
         if degenerate:
             return Mu1Verdict("not_mu1", tuple(steps),
@@ -239,7 +237,7 @@ def _tree_from_image(F: MultiClauseSet) -> DeficiencyOneTree:
         return DeficiencyOneTree(root, tuple(children))
 
     tree = build(list(F.clauses()))
-    if tree_to_clause_set(tree) != F.as_set():
+    if tree_to_clause_set(tree) != F:
         raise ValueError("reconstruction did not reproduce the clause-set")
     return tree
 
@@ -258,14 +256,13 @@ def classify_mu1(F: MultiClauseSet) -> Mu1Classification:
     if outcome.verdict != "mu1":
         raise ValueError(
             f"not minimally unsatisfiable of deficiency 1 ({outcome.reason})")
-    G = F.as_set()
-    if classify_hitting(G).hitting:
+    if classify_hitting(F).hitting:
         try:
-            return Mu1Classification("saturated", _tree_from_image(G))
+            return Mu1Classification("saturated", _tree_from_image(F))
         except ValueError as exc:
             return Mu1Classification("intermediate", None, str(exc))
-    if all(G.count((v, e)) == 1
-           for v in G.var_set() for e in G.table.domain(v)):
+    if all(F.count((v, e)) == 1
+           for v in F.var_set() for e in F.table.domain(v)):
         return Mu1Classification("marginal", None)
     return Mu1Classification("intermediate", None)
 
@@ -301,8 +298,7 @@ def saturate(F: MultiClauseSet, method: str = "auto") -> MultiClauseSet:
                 for value in table.domain(v):
                     trial = list(clauses)
                     trial[idx] = _widen(clause, v, value)
-                    G = MultiClauseSet(table, {c: 1 for c in trial},
-                                       set_view=True)
+                    G = MultiClauseSet(table, {c: 1 for c in trial})
                     if not decide(G, method).satisfiable:
                         clause = trial[idx]
                         clauses[idx] = clause
@@ -329,8 +325,7 @@ def is_saturated_mu(F: MultiClauseSet, method: str = "auto") -> bool:
                 continue
             for value in table.domain(v):
                 G = MultiClauseSet(
-                    table, {c: 1 for c in rest + [_widen(clause, v, value)]},
-                    set_view=True)
+                    table, {c: 1 for c in rest + [_widen(clause, v, value)]})
                 if not decide(G, method).satisfiable:
                     return False
     return True
@@ -387,11 +382,19 @@ def degree_measures(F: MultiClauseSet) -> DegreeMeasures:
 
 def format_tree(tree: DeficiencyOneTree) -> str:
     """Parenthesized text form, inverse of parse_tree."""
-    if tree.is_leaf:
-        return "*"
-    branches = " ".join(f"({value} {format_tree(child)})"
-                        for value, child in enumerate(tree.children))
-    return f"({tree.var} {branches})"
+    parts, stack = [], [tree]  # stack: subtrees and text still to print
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item.is_leaf:
+            parts.append("*")
+        else:
+            parts.append(f"({item.var}")
+            stack.append(")")
+            for value in reversed(range(len(item.children))):
+                stack.extend((")", item.children[value], f" ({value} "))
+    return "".join(parts)
 
 
 def parse_tree(text: str) -> DeficiencyOneTree:
@@ -418,30 +421,39 @@ def parse_tree(text: str) -> DeficiencyOneTree:
             raise ValueError(f"expected {what}, found {token!r}")
         return int(token)
 
-    def tree():
+    stack = []  # one [var, branches, value being read] per open inner node
+    while True:
         if peek() == "*":
             take()
-            return LEAF
-        take("(")
-        var = number("a variable")
-        branches = {}
-        while peek() == "(":
+            tree = LEAF
+        else:
             take("(")
-            value = number("a value")
-            if value in branches:
-                raise ValueError(f"value {value} given twice for variable {var}")
-            branches[value] = tree()
+            stack.append([number("a variable"), {}, None])
+            tree = None
+        while stack:
+            var, branches, value = frame = stack[-1]
+            if tree is not None:
+                branches[value] = tree
+                take(")")
+                tree = None
+            if peek() == "(":
+                take("(")
+                frame[2] = value = number("a value")
+                if value in branches:
+                    raise ValueError(f"value {value} given twice for variable {var}")
+                break
             take(")")
-        take(")")
-        if sorted(branches) != list(range(len(branches))):
-            raise ValueError(
-                f"branch values of variable {var} must cover 0..{len(branches) - 1}")
-        if not branches:
-            raise ValueError(f"variable {var} has no branches")
-        return DeficiencyOneTree(var, tuple(branches[v] for v in sorted(branches)))
+            stack.pop()
+            if sorted(branches) != list(range(len(branches))):
+                raise ValueError(
+                    f"branch values of variable {var} must cover 0..{len(branches) - 1}")
+            if not branches:
+                raise ValueError(f"variable {var} has no branches")
+            tree = DeficiencyOneTree(var, tuple(branches[v] for v in sorted(branches)))
+        else:
+            break
 
-    result = tree()
     if pos != len(tokens):
         raise ValueError(f"trailing input {tokens[pos]!r}")
-    _check_labels(result)
-    return result
+    _check_labels(tree)
+    return tree

@@ -156,8 +156,7 @@ def unit_clause_propagation(F: MultiClauseSet) -> Tuple[MultiClauseSet, tuple]:
         ((v, e),) = unit
         size = F.table.domain_size(v)
         kept = {c: m for c, m in F.items() if Literal(v, e) not in c}
-        F = MultiClauseSet(F.table.declare(fresh, size - 1), kept,
-                           set_view=F.set_view)
+        F = MultiClauseSet(F.table.declare(fresh, size - 1), kept)
         value_map = {old: (old if old < e else old - 1)
                      for old in range(size) if old != e}
         F, _ = rename(F, v, fresh, value_map)
@@ -226,29 +225,31 @@ def resolvents(v: int, parents: Sequence[Clause],
 
 
 def _dp(F: MultiClauseSet, v: int) -> MultiClauseSet:
-    """dp_resolve without the occurrence precondition (identity if v absent)."""
-    G = F.as_set()
-    if not any(c.has_var(v) for c in G.clauses()):
-        return G
-    kept = {c: 1 for c in G.clauses() if not c.has_var(v)}
-    buckets = [[c for c in G.clauses() if c.has_var(v) and c.value_on(v) == e]
-               for e in G.table.domain(v)]
+    """Replace the clauses on v by their resolvents (identity if v absent).
+
+    Clauses without v keep their multiplicities; each resolvent is added
+    once unless already present.  Clauses on v count once each.
+    """
+    kept = {c: m for c, m in F.items() if not c.has_var(v)}
+    buckets = [[c for c in F.clauses() if c.has_var(v) and c.value_on(v) == e]
+               for e in F.table.domain(v)]
     for combo in itertools.product(*buckets):
-        R = resolvents(v, combo, G.table)
+        R = resolvents(v, combo, F.table)
         if R is not None:
-            kept[R] = 1
-    return G.with_clauses(kept)
+            kept.setdefault(R, 1)
+    return F.with_clauses(kept)
 
 
 def dp_resolve(F: MultiClauseSet, v: int) -> MultiClauseSet:
-    """Eliminate v: drop its clauses, add every resolvent on it (clause-set view)."""
+    """Eliminate v from the clause-set of F: drop the clauses on v and add
+    every resolvent on it.  Every multiplicity of the result is 1."""
     if v not in F.var_set():
         raise ValueError(f"variable {v} does not occur")
-    return _dp(F, v)
+    return _dp(F.dedup(), v)
 
 
 def _elimination_bound(G: MultiClauseSet, v: int) -> int:
-    """c(F) - sum of per-value occurrence counts + their product (set view)."""
+    """c(G) - sum of per-value occurrence counts + their product."""
     counts = [G.count((v, e)) for e in G.table.domain(v)]
     return G.c - sum(counts) + math.prod(counts)
 
@@ -272,7 +273,7 @@ def singular_dp(F: MultiClauseSet, v: int) -> Tuple[MultiClauseSet, bool]:
     """
     if not is_singular(F, v):
         raise ValueError(f"variable {v} is not singular")
-    G = F.as_set()
+    G = F.dedup()
     result = _dp(G, v)
     return result, result.c < _elimination_bound(G, v)
 
@@ -285,9 +286,8 @@ def is_blocked(clause: Clause, F: MultiClauseSet, v: int) -> bool:
     """
     if not clause.has_var(v):
         raise ValueError(f"variable {v} does not occur in {clause!r}")
-    G = F.as_set()
-    plus = G.with_clauses({**{c: 1 for c in G.clauses()}, clause: 1})
-    minus = G.with_clauses({c: 1 for c in G.clauses() if c != clause})
+    plus = F.with_clauses({**{c: 1 for c in F.clauses()}, clause: 1})
+    minus = F.with_clauses({c: 1 for c in F.clauses() if c != clause})
     return (subsumption_elimination(_dp(plus, v)) ==
             subsumption_elimination(_dp(minus, v)))
 
@@ -308,34 +308,15 @@ def _redundant_clause_on(F: MultiClauseSet, v: int) -> Optional[Clause]:
     afterwards still yields the same instance.  One exists exactly when the
     elimination of v would be degenerate (or some copy is simply duplicated).
     """
-    G = F.as_set()
-    base = _dp(G, v)
+    base = _dp(F, v)
     for clause, mult in F.items():
         if not clause.has_var(v):
             continue
         if mult >= 2:
             return clause
-        rest = G.with_clauses({c: 1 for c in G.clauses() if c != clause})
-        if _dp(rest, v) == base:
+        if _dp(_drop_one_copy(F, clause), v) == base:
             return clause
     return None
-
-
-def _eliminate_singular(F: MultiClauseSet, v: int) -> MultiClauseSet:
-    """Replace the clauses on v by their resolvents, keeping multiplicities.
-
-    Only called when no clause copy on v is redundant, so every clause on v
-    has multiplicity one and all resolvents are defined, pairwise distinct
-    and fresh; the clause count drops by exactly |D_v| - 1.
-    """
-    items = {c: m for c, m in F.items() if not c.has_var(v)}
-    buckets = [[c for c in F.clauses() if c.has_var(v) and c.value_on(v) == e]
-               for e in F.table.domain(v)]
-    for combo in itertools.product(*buckets):
-        R = resolvents(v, combo, F.table)
-        assert R is not None and R not in items
-        items[R] = 1
-    return F.with_clauses(items)
 
 
 def _r_reduce_logged(F: MultiClauseSet) -> Tuple[MultiClauseSet, List]:
@@ -367,8 +348,13 @@ def _r_reduce_logged(F: MultiClauseSet) -> Tuple[MultiClauseSet, List]:
         v = next((w for w in sorted(F.var_set()) if is_singular(F, w)), None)
         if v is None:
             return F, steps
+        # no clause copy on v is redundant, so every clause on v has
+        # multiplicity one and all resolvents are defined, pairwise distinct
+        # and fresh: the clause count drops by exactly |D_v| - 1
         steps.append(VariableEliminationStep(F, v))
-        F = _eliminate_singular(F, v)
+        G = _dp(F, v)
+        assert G.c == F.c - (F.table.domain_size(v) - 1)
+        F = G
 
 
 def r_reduction(F: MultiClauseSet) -> MultiClauseSet:

@@ -152,7 +152,7 @@ def _translate(F: MultiClauseSet, gadgets: Dict[int, VariableGadget],
     for v in sorted(gadgets):
         for clause in gadgets[v].extra:
             image[clause] = image.get(clause, 0) + 1
-    cnf = MultiClauseSet(table, image, set_view=F.set_view)
+    cnf = MultiClauseSet(table, image)
     var_map = {b: (v, j) for v, g in gadgets.items()
                for j, b in enumerate(g.variables)}
     inverse = {pair: b for b, pair in var_map.items()}
@@ -229,7 +229,7 @@ def logarithmic(F: MultiClauseSet) -> TranslationResult:
 def _gadget_instance(clauses: Iterable[Clause],
                      variables: Sequence[int]) -> MultiClauseSet:
     table = VariableTable({b: 2 for b in variables})
-    return MultiClauseSet(table, {c: 1 for c in clauses}, set_view=True)
+    return MultiClauseSet(table, {c: 1 for c in clauses})
 
 
 def validate_scheme(F: MultiClauseSet,

@@ -61,7 +61,16 @@ def sub_multi_clause_sets(F: MultiClauseSet):
 
 
 def brute_max_deficiency(F: MultiClauseSet) -> int:
-    return max(sub.delta for sub in sub_multi_clause_sets(F))
+    """max delta over all sub-multi-clause-sets, counted without building them."""
+    items = F.items()
+    best = 0
+    for mults in itertools.product(*(range(m + 1) for _, m in items)):
+        chosen = [(c, k) for (c, _), k in zip(items, mults) if k]
+        variables = {lit.var for c, _ in chosen for lit in c}
+        delta = (sum(k for _, k in chosen)
+                 - sum(F.table.domain_size(v) - 1 for v in variables))
+        best = max(best, delta)
+    return best
 
 
 def brute_surplus(F: MultiClauseSet) -> int:
@@ -145,6 +154,10 @@ def brute_is_matching_satisfying(phi: PartialAssignment, F: MultiClauseSet) -> b
 
 
 def brute_is_matching_autarky(phi: PartialAssignment, F: MultiClauseSet) -> bool:
+    # phi must satisfy every clause it touches; checking that first on F
+    # itself skips building the restriction for most phi
+    if not all(phi.satisfies_clause(c) for c in F.clauses() if c.variables & phi.keys()):
+        return False
     return brute_is_matching_satisfying(phi, restrict(F, set(phi)))
 
 
@@ -156,9 +169,9 @@ def brute_is_autarky(phi: PartialAssignment, F: MultiClauseSet) -> bool:
 def _kernel_by_fixpoint(F: MultiClauseSet, is_autarky) -> MultiClauseSet:
     while True:
         for phi in partial_assignments(F.table, F.var_set()):
+            # phi binds occurring variables only, so a nonempty phi touches
+            # some clause
             if not phi:
-                continue
-            if touched(F, set(phi)).c == 0:
                 continue
             if is_autarky(phi, F):
                 F = apply(phi, F)
@@ -194,7 +207,7 @@ def brute_implies(F: MultiClauseSet, clause: Clause) -> bool:
     for v in clause.variables:
         if v not in table:
             table = table.declare(v, max(lit.value for lit in clause if lit.var == v) + 1)
-    G = MultiClauseSet(table, F.items(), set_view=F.set_view)
+    G = MultiClauseSet(table, F.items())
     return not brute_satisfiable(apply(phi, G))
 
 
@@ -233,5 +246,5 @@ def random_instance(rng: random.Random, max_n=6, max_dom=3, max_c=12,
         chosen = rng.sample(range(1, n + 1), width)
         clauses.append(Clause((v, rng.randrange(table.domain_size(v))) for v in chosen))
     if not multi:
-        return MultiClauseSet(table, {c: 1 for c in clauses}, set_view=True)
+        return MultiClauseSet(table, {c: 1 for c in clauses})
     return MultiClauseSet(table, clauses)

@@ -1,0 +1,145 @@
+import random
+
+import pytest
+
+from gcls import cli
+from gcls.cli import emit_dimacs, emit_gcls, main, parse_dimacs, parse_gcls
+from gcls.core import PartialAssignment
+from gcls.encode import vdw_instance
+from gcls.matching import surplus
+from gcls.satdec import SatResult
+from gcls.translate import direct_strong, direct_weak, logarithmic, nested, reduced
+
+import oracles
+
+
+def write(tmp_path, text, name="in.gcls"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+SAT_TEXT = "p gcls 2 2\nd 1 3\n1:0 2:1 0\n1:1 0\n"
+UNSAT_TEXT = "p gcls 1 2\n1:0 0\n1:1 0\n"
+
+
+class TestRoundTrips:
+    def test_gcls_bytes_are_parse_stable(self):
+        rng = random.Random(901)
+        for _ in range(100):
+            F = oracles.random_instance(rng)
+            text = emit_gcls(F)
+            assert parse_gcls(text) == F
+            assert emit_gcls(parse_gcls(text)) == text
+        text = emit_gcls(vdw_instance(2, 3, 8))
+        assert emit_gcls(parse_gcls(text)) == text
+
+    @pytest.mark.parametrize("scheme", [direct_weak, direct_strong, nested,
+                                        reduced, logarithmic])
+    def test_dimacs_bytes_are_parse_stable(self, scheme):
+        rng = random.Random(902)
+        for _ in range(40):
+            F = oracles.random_instance(rng, max_n=4, max_c=8)
+            text = emit_dimacs(scheme(F))
+            assert emit_dimacs(parse_dimacs(text)) == text
+
+
+class TestExitCodes:
+    def test_bad_token_reports_line_and_column(self, tmp_path, capsys):
+        path = write(tmp_path, "p gcls 2 1\n1:0 x 0\n")
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 2 and out == ""
+        assert err == ("error: line 2, column 5: bad token 'x': "
+                       "expected 'var:val' or '0'\n")
+
+    def test_brute_cap_refuses(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GCLS_BRUTE_CAP", "1")
+        code, out, err = run(capsys, "solve", "--method", "brute",
+                             write(tmp_path, SAT_TEXT))
+        assert code == 3 and out == ""
+        assert err.startswith("refused: ")
+
+    @pytest.mark.parametrize("method", ["auto", "brute", "bounded", "fpt"])
+    def test_solve_satisfiable(self, tmp_path, capsys, method):
+        code, out, _ = run(capsys, "solve", "--method", method,
+                           write(tmp_path, SAT_TEXT))
+        assert code == 10
+        status, values = out.splitlines()
+        assert status == "s SATISFIABLE" and values.startswith("v")
+        phi = PartialAssignment(tuple(map(int, token.split(":")))
+                                for token in values.split()[1:])
+        assert oracles.satisfies(phi, parse_gcls(SAT_TEXT))
+
+    @pytest.mark.parametrize("method", ["auto", "brute", "bounded", "fpt"])
+    def test_solve_unsatisfiable(self, tmp_path, capsys, method):
+        code, out, _ = run(capsys, "solve", "--method", method,
+                           write(tmp_path, UNSAT_TEXT))
+        assert (code, out) == (20, "s UNSATISFIABLE\n")
+
+
+class TestEncodeThenAnalyze:
+    def test_vdw_surplus_matches_library(self, tmp_path, capsys):
+        path = str(tmp_path / "vdw.gcls")
+        code, out, _ = run(capsys, "encode", "vdw", "2", "3", "6", "-o", path)
+        assert (code, out) == (0, "")
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == 0
+        assert "surplus 3" in out.splitlines()
+        assert f"surplus {surplus(vdw_instance(2, 3, 6)).value}" in out.splitlines()
+
+
+class TestSelfCheck:
+    def test_wrong_model_is_an_internal_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        wrong = PartialAssignment({1: 1, 2: 0})  # falsifies clause 1:1
+        monkeypatch.setattr(cli, "decide",
+                            lambda F, method: SatResult(True, wrong))
+        code, out, err = run(capsys, "solve", write(tmp_path, SAT_TEXT))
+        assert code == 1 and out == ""
+        assert err == ("error: internal: RuntimeError: self-check failed: "
+                       "<1->1,2->0> is not a model of the input\n")
+
+    def test_model_outside_the_domains_is_an_internal_error(
+            self, tmp_path, capsys, monkeypatch):
+        outside = PartialAssignment({1: 5, 2: 0})
+        monkeypatch.setattr(cli, "decide",
+                            lambda F, method: SatResult(True, outside))
+        code, out, err = run(capsys, "solve", write(tmp_path, SAT_TEXT))
+        assert code == 1 and out == ""
+        assert err == ("error: internal: RuntimeError: self-check failed: "
+                       "<1->5,2->0> is not a model of the input\n")
+
+    def test_wrong_autarky_is_an_internal_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        # 1->0 touches 1:0 2:1 without satisfying it
+        monkeypatch.setattr(cli, "find_nontrivial_autarky_bounded",
+                            lambda F: PartialAssignment({1: 0}))
+        code, out, err = run(capsys, "autarky", write(tmp_path, SAT_TEXT))
+        assert code == 1 and out == ""
+        assert err == ("error: internal: RuntimeError: self-check failed: "
+                       "<1->0> is not a non-trivial autarky of the input\n")
+
+    def test_correct_autarky_is_printed(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "autarky", write(tmp_path, SAT_TEXT))
+        assert code == 0 and out.startswith("AUTARKY\nv ")
+
+
+class TestNoTraceback:
+    def test_unexpected_exception_is_one_line(self, tmp_path, capsys,
+                                              monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_analyze", boom)
+        code, out, err = run(capsys, "analyze", write(tmp_path, SAT_TEXT))
+        assert (code, out, err) == (1, "", "error: internal: RuntimeError: boom\n")
+
+    def test_missing_file_is_an_input_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "analyze", str(tmp_path / "absent.gcls"))
+        assert code == 2 and err.startswith("error: ")

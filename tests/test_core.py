@@ -316,19 +316,21 @@ class TestFalsifyingCount:
 
 
 class TestMultiplicities:
-    def test_sum_and_set_view(self):
+    def test_sum_and_dedup(self):
         table = VariableTable({1: 3})
         F = MultiClauseSet(table, [Clause([(1, 0)]), Clause([(1, 0)])])
         assert F.multiplicity(Clause([(1, 0)])) == 2 and F.c == 2
-        assert F.as_set().c == 1
+        assert F.dedup().c == 1
+        G = F.dedup()
+        assert G.dedup() is G
 
-    def test_apply_merges_by_view(self):
+    def test_cross_out_keeps_multiplicities_after_dedup(self):
         table = VariableTable({1: 2, 2: 2, 3: 2})
         F = MultiClauseSet(table, [Clause([(1, 0), (3, 0)]), Clause([(1, 0), (3, 1)])])
         merged_multi = cross_out({3}, F)
         assert merged_multi.multiplicity(Clause([(1, 0)])) == 2
-        merged_set = cross_out({3}, F.as_set())
-        assert merged_set.multiplicity(Clause([(1, 0)])) == 1
+        merged_dedup = cross_out({3}, F.dedup())
+        assert merged_dedup.multiplicity(Clause([(1, 0)])) == 2
 
     def test_equality_ignores_unused_table_entries(self):
         small = MultiClauseSet(VariableTable({1: 2}), [Clause([(1, 0)])])

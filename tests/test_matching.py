@@ -34,6 +34,9 @@ from gcls.matching import (
     tovey_check,
 )
 
+from gcls.cli import emit_gcls, parse_gcls
+from gcls.encode import Hypergraph, hypergraph_coloring, strong_coloring, vdw_instance
+
 import oracles
 from test_core import mixed_example
 
@@ -630,3 +633,44 @@ class TestMatchingSatisfyingStructure:
                     slack = F.var_count(v) - F.count((v, value))
                     assert after <= F.delta - min(slack, surp) + dom - 1
                     assert after <= F.delta - min(F.min_slack(v), surp) + dom - 1
+
+
+def _matching_answers(F):
+    return (surplus(F).value, max_deficiency(F).value, is_matching_lean(F),
+            matching_lean_kernel(F))
+
+
+class TestEqualClauseSetsEqualAnswers:
+    """Answers depend on the clauses, not on how the object was built."""
+
+    def test_vdw_encoder_object_and_parsed_text_agree(self):
+        built = vdw_instance(2, 3, 6)
+        parsed = parse_gcls(emit_gcls(built))
+        assert built == parsed
+        assert surplus(built).value == surplus(parsed).value == 3
+        assert oracles.brute_surplus(built) == oracles.brute_surplus(parsed) == 3
+
+    def test_vdw_2_4_20_surplus(self):
+        # vertex 1 lies in 6 progressions, each giving one clause per colour:
+        # delta(F[{1}]) = 12 - 1
+        assert surplus(vdw_instance(2, 4, 20)).value == 11
+
+    def test_built_dedup_and_parsed_forms_agree(self):
+        path = Hypergraph.build(4, [(1, 2), (2, 3), (3, 4), (1, 2, 3)])
+        for F in (vdw_instance(2, 3, 7), hypergraph_coloring(path, 2),
+                  strong_coloring(path, 3)):
+            assert all(m == 1 for _, m in F.items())
+            expected = _matching_answers(F)
+            assert _matching_answers(F.dedup()) == expected
+            assert _matching_answers((F + F).dedup()) == expected
+            assert _matching_answers(parse_gcls(emit_gcls(F))) == expected
+
+    def test_clause_sets_against_oracles(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            F = oracles.random_instance(rng, multi=False)
+            kernel = oracles.brute_matching_lean_kernel(F)
+            assert surplus(F).value == oracles.brute_surplus(F)
+            assert max_deficiency(F).value == oracles.brute_max_deficiency(F)
+            assert is_matching_lean(F) == (kernel == F)
+            assert matching_lean_kernel(F) == kernel

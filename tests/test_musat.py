@@ -66,7 +66,7 @@ def two_var_mu2():
         Clause([(1, 1), (2, 1)]): 1,
         Clause([(1, 2)]): 1,
         Clause([(2, 2)]): 1,
-    }, set_view=True)
+    })
 
 
 def marginal_example():
@@ -84,7 +84,7 @@ def marginal_example():
         Clause([(3, 0)]): 1,
         Clause([(3, 1)]): 1,
         Clause([(4, 0), (6, 0)]): 1,
-    }, set_view=True)
+    })
 
 
 def intermediate_example():
@@ -100,7 +100,7 @@ def boolean_chain():
         Clause([(1, 0)]): 1,
         Clause([(1, 1), (2, 0)]): 1,
         Clause([(2, 1)]): 1,
-    }, set_view=True)
+    })
 
 
 def random_tree(rng, max_nodes):
@@ -263,6 +263,20 @@ class TestTreeSerialization:
         for _ in range(120):
             tree = random_tree(rng, 10)
             assert parse_tree(format_tree(tree)) == tree
+
+    def test_deep_chain_roundtrip_without_recursion(self):
+        depth = 5_000
+        chain = LEAF
+        for v in range(depth, 0, -1):
+            chain = DeficiencyOneTree(v, (chain, LEAF))
+        text = format_tree(chain)
+        parsed = parse_tree(text)
+        assert format_tree(parsed) == text
+        node = parsed
+        for v in range(1, depth + 1):
+            assert node.var == v and node.children[1] == LEAF
+            node = node.children[0]
+        assert node == LEAF
 
     @pytest.mark.parametrize("text", [
         "",
@@ -485,7 +499,7 @@ class TestSaturate:
             Clause([(1, 0), (2, 0)]): 1,
             Clause([(1, 1), (2, 0)]): 1,
             Clause([(2, 1)]): 1,
-        }, set_view=True)
+        })
         assert saturate(boolean_chain()) == expected
 
     def test_marginal_example_saturates(self):

@@ -237,15 +237,17 @@ class TestDpResolve:
 
     def test_mixed_example_eliminates_to_bottom(self):
         _, f1, _ = mixed_example()
-        assert dp_resolve(dp_resolve(f1.as_set(), 2), 1).clauses() == (BOT,)
+        assert dp_resolve(dp_resolve(f1.dedup(), 2), 1).clauses() == (BOT,)
 
     def test_random_sat_equivalence_and_clause_bound(self):
         rng = random.Random(504)
         for _ in range(60):
-            F = oracles.random_instance(rng, max_n=4, max_c=7).as_set()
+            M = oracles.random_instance(rng, max_n=4, max_c=7)
+            F = M.dedup()
             for v in sorted(F.var_set()):
                 G = dp_resolve(F, v)
-                assert G.set_view
+                assert dp_resolve(M, v) == G
+                assert all(m == 1 for _, m in G.items())
                 assert v not in G.var_set()
                 assert_sat_equivalent(F, G)
                 assert G.c <= _elimination_bound(F, v)
@@ -294,7 +296,7 @@ class TestSingularVariables:
         rng = random.Random(505)
         seen = 0
         for _ in range(150):
-            F = oracles.random_instance(rng, max_n=4, max_c=7).as_set()
+            F = oracles.random_instance(rng, max_n=4, max_c=7).dedup()
             v = next((w for w in sorted(F.var_set()) if is_singular(F, w)),
                      None)
             if v is None:
@@ -344,7 +346,7 @@ class TestBlockedClauses:
         rng = random.Random(506)
         removed = 0
         for _ in range(80):
-            F = oracles.random_instance(rng, max_n=4, max_c=6).as_set()
+            F = oracles.random_instance(rng, max_n=4, max_c=6).dedup()
             for c in F.clauses():
                 for v in sorted(c.variables):
                     if is_blocked(c, F, v):

@@ -98,7 +98,7 @@ def selector_family(rng, k=None, max_extra=3, max_block=3, units=False):
         for _ in range(rng.randint(1, max_block)):
             tail = rng.sample(sorted(tau), rng.randint(0 if units else 1, extra))
             clauses.add(Clause([(1, e)] + [(v, tau[v]) for v in tail]))
-    return MultiClauseSet(table, {c: 1 for c in clauses}, set_view=True)
+    return MultiClauseSet(table, {c: 1 for c in clauses})
 
 
 def clash_pairs(C, D):

@@ -151,8 +151,9 @@ class TestDirectWeak:
         assert t.boolean_cnf.multiplicity(Clause([(1, 0)])) == 2
         assert t.boolean_cnf.multiplicity(alo_clause(t, 1)) == 1
 
-    def test_set_view_is_preserved(self):
-        assert direct_weak(doubled_unit().as_set()).boolean_cnf.set_view
+    def test_dedup_input_gives_multiplicity_one_image(self):
+        cnf = direct_weak(doubled_unit().dedup()).boolean_cnf
+        assert all(m == 1 for _, m in cnf.items())
 
     def test_measures_and_deficiency_are_preserved(self):
         rng = random.Random(701)
