@@ -34,7 +34,7 @@ from .matching import (
     max_deficiency,
     surplus,
 )
-from .musat import classify_mu1, format_tree, recognize_mu1
+from .musat import _classify_member, format_tree, recognize_mu1
 from .satdec import (
     BruteForceCapExceeded,
     decide,
@@ -421,7 +421,7 @@ def cmd_mu1(args: argparse.Namespace) -> int:
         reason = f"reason {verdict.reason}\n" if verdict.reason else ""
         _write(None, "NOT-MU1\n" + reason)
         return 0
-    outcome = classify_mu1(F)
+    outcome = _classify_member(F)
     text = f"MU1 {outcome.category}\n"
     if outcome.tree is not None:
         text += format_tree(outcome.tree) + "\n"

@@ -16,7 +16,10 @@ have a complete structure theory, and this module implements it:
   reduce to the single empty clause through non-degenerate steps, in any
   elimination order.  Members that still contain a variable always contain
   a variable all of whose values occur exactly once, so the reduction
-  never stalls on genuine members.
+  never stalls on genuine members.  The pass always eliminates the
+  cheapest singular variable (fewest occurrences, ties by index), kept in
+  a lazy heap over a literal-to-clauses index, so each step costs about
+  the size of the clauses on the eliminated variable.
 
 * ``classify_mu1`` -- splits the class into its two extremes and the rest:
   the saturated members (no literal can be added to any clause without
@@ -26,6 +29,9 @@ have a complete structure theory, and this module implements it:
   totally singular ones, where every literal occurrence is unique.
   Everything else is intermediate.  The single empty clause is both
   saturated and marginal; it reports as saturated (with the trivial tree).
+  After recognition, classification is linear in the input size up to
+  sorting: hitting is a counting identity, and the tree is read off the
+  occurrence counts.
 
 * ``saturate`` -- greedily widens the clauses of a minimally unsatisfiable
   input while unsatisfiability survives, ending in a saturated set with a
@@ -39,10 +45,13 @@ have a complete structure theory, and this module implements it:
 Trees serialize to a parenthesized text form, see ``format_tree``.
 """
 
+import heapq
 import itertools
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Set, Tuple
 
 from .core import (
     BOT,
@@ -53,9 +62,8 @@ from .core import (
     VariableTable,
     apply,
 )
-from .reductions import is_singular, singular_dp
+from .reductions import resolvents
 from .satdec import decide, is_irredundant, is_minimally_unsatisfiable
-from .structure import classify_hitting
 
 __all__ = [
     "DeficiencyOneTree",
@@ -75,7 +83,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeficiencyOneTree:
     """Rooted tree with variable-labelled inner nodes.
 
@@ -84,7 +92,8 @@ class DeficiencyOneTree:
     reached by assigning value j, so the edge labelling is the tuple
     position.  Variable labels must be distinct across the whole tree;
     that global condition is checked by the consumers (tree_to_clause_set,
-    parse_tree), not per node.
+    parse_tree), not per node.  Equality and hashing are structural and
+    walk the tree with an explicit stack, so deep trees compare fine.
     """
 
     var: Optional[int] = None
@@ -109,6 +118,33 @@ class DeficiencyOneTree:
     @classmethod
     def node(cls, var: int, children) -> "DeficiencyOneTree":
         return cls(var, tuple(children))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeficiencyOneTree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.var != b.var or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        hashes: Dict[int, int] = {}  # id(subtree) -> its hash
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            pending = [c for c in node.children if id(c) not in hashes]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            hashes[id(node)] = hash(
+                (node.var, tuple(hashes[id(c)] for c in node.children)))
+        return hashes[id(self)]
 
 
 LEAF = DeficiencyOneTree()
@@ -140,16 +176,15 @@ def tree_to_clause_set(tree: DeficiencyOneTree) -> MultiClauseSet:
     _check_labels(tree)
     sizes = {}
     clauses = []
-
-    def walk(node, path):
+    stack = [(tree, ())]
+    while stack:
+        node, path = stack.pop()
         if node.is_leaf:
             clauses.append(Clause(path))
-            return
+            continue
         sizes[node.var] = len(node.children)
-        for value, child in enumerate(node.children):
-            walk(child, path + [(node.var, value)])
-
-    walk(tree, [])
+        stack.extend((child, path + ((node.var, value),))
+                     for value, child in enumerate(node.children))
     return MultiClauseSet(VariableTable(sizes), {c: 1 for c in clauses})
 
 
@@ -169,28 +204,70 @@ class Mu1Verdict(NamedTuple):
 def recognize_mu1(F: MultiClauseSet) -> Mu1Verdict:
     """Decide minimal unsatisfiability at deficiency 1 by elimination.
 
-    Repeatedly picks the smallest singular variable and resolves it away;
-    membership is equivalent to every such maximal elimination sequence
-    being non-degenerate (each step drops the clause count by exactly the
-    domain size minus one) and ending in the single empty clause.  A
-    degenerate step, or running out of singular variables early, refutes
-    membership conclusively.
+    Repeatedly resolves away the cheapest singular variable: the one with
+    the fewest occurrences, ties broken by the smaller index.  Membership
+    is equivalent to every such maximal elimination sequence being
+    non-degenerate (each step drops the clause count by exactly the domain
+    size minus one) and ending in the single empty clause.  A degenerate
+    step, or running out of singular variables early, refutes membership
+    conclusively.
+
+    A step is degenerate iff it yields fewer new distinct resolvents than
+    the product of the per-value counts: a resolvent clashed away,
+    coincided with a sibling, or was present already.  The clauses live in
+    a literal-to-clauses index and the candidates in a lazy heap keyed by
+    (occurrences, variable), to which a variable returns whenever its
+    counts change.  So a step costs about the size of the clauses on the
+    eliminated variable, not a scan of the whole clause-set.
     """
     if any(mult > 1 for _, mult in F.items()):
         return Mu1Verdict("not_mu1", (), "a repeated clause is redundant")
+    table = F.table
+    clauses: Set[Clause] = set(F.clauses())
+    index: Dict[Literal, Set[Clause]] = {}
+    for clause in clauses:
+        for lit in clause:
+            index.setdefault(lit, set()).add(clause)
+    occurrences = dict(Counter(lit.var for clause in clauses for lit in clause))
+    heap = [(count, v) for v, count in occurrences.items()]
+    heapq.heapify(heap)
     steps = []
-    while True:
-        if F.items() == ((BOT, 1),):
-            return Mu1Verdict("mu1", tuple(steps))
-        v = next((w for w in sorted(F.var_set()) if is_singular(F, w)), None)
-        if v is None:
+    while clauses != {BOT}:
+        if not heap:
             return Mu1Verdict("not_mu1", tuple(steps),
                               "no singular variable left")
-        F, degenerate = singular_dp(F, v)
+        count, v = heapq.heappop(heap)
+        if count != occurrences[v]:
+            continue  # stale entry; v was pushed again with its new count
+        buckets = [list(index.get(Literal(v, e), ())) for e in table.domain(v)]
+        sizes = [len(bucket) for bucket in buckets]
+        if 0 in sizes or sum(size > 1 for size in sizes) > 1:
+            continue  # not singular; comes back once its counts change
         steps.append(v)
-        if degenerate:
-            return Mu1Verdict("not_mu1", tuple(steps),
-                              f"degenerate elimination of variable {v}")
+        added: Set[Clause] = set()
+        for parents in itertools.product(*buckets):
+            R = resolvents(v, parents, table)
+            if R is None or R in clauses or R in added:
+                return Mu1Verdict("not_mu1", tuple(steps),
+                                  f"degenerate elimination of variable {v}")
+            added.add(R)
+        for clause in itertools.chain.from_iterable(buckets):
+            clauses.remove(clause)
+            for lit in clause:
+                index[lit].remove(clause)
+                occurrences[lit.var] -= 1
+        # every literal of a resolvent comes from a parent, so it is indexed
+        # already, and every variable of a parent but v is in some resolvent
+        touched = set()
+        for clause in added:
+            clauses.add(clause)
+            for lit in clause:
+                index[lit].add(clause)
+                occurrences[lit.var] += 1
+                touched.add(lit.var)
+        for w in touched:
+            heapq.heappush(heap, (occurrences[w], w))
+    return Mu1Verdict("mu1", tuple(steps))
 
 
 class Mu1Classification(NamedTuple):
@@ -207,39 +284,78 @@ class Mu1Classification(NamedTuple):
     diagnostic: Optional[str] = None
 
 
+def _is_hitting(F: MultiClauseSet) -> bool:
+    """Whether the unsatisfiable F is hitting (any two clauses clash).
+
+    Every total assignment over var(F) falsifies some clause of an
+    unsatisfiable F, and exactly one iff F is hitting; clause C falsifies
+    prod_{v not in C} |D_v| of them.  So F is hitting iff these counts sum
+    to the number of total assignments, compared in exact integers.
+    """
+    sizes = {v: F.table.domain_size(v) for v in F.var_set()}
+    total = math.prod(sizes.values())
+    falsified = sum(mult * (total // math.prod(sizes[lit.var] for lit in clause))
+                    for clause, mult in F.items())
+    return falsified == total
+
+
 def _tree_from_image(F: MultiClauseSet) -> DeficiencyOneTree:
     """Rebuild a tree whose image is the hitting clause-set F.
 
-    The root is a variable occurring in every clause; when several
-    qualify (a chain of single-valued variables above the first branching
-    node), the single-valued ones must come first, lest the recursion try
-    to place one variable into several subtrees.
+    A node's variable occurs in every clause below it, so it occurs more
+    often than any variable further down, except along a run of
+    single-child nodes, where the single-valued variables are put first
+    (ascending) and the run's last node below them.  Sorting each clause
+    by that rank gives its root path; the paths form a trie, which folds
+    bottom-up into the tree.
     """
     table = F.table
-
-    def build(clauses):
-        if len(clauses) == 1 and clauses[0] == BOT:
-            return LEAF
-        if not clauses or any(c == BOT for c in clauses):
-            raise ValueError("an empty clause sits next to other clauses")
-        common = frozenset.intersection(*(c.variables for c in clauses))
-        if not common:
-            raise ValueError("no variable occurs in every clause")
-        root = min(common, key=lambda v: (table.domain_size(v) > 1, v))
-        children = []
-        for value in table.domain(root):
-            branch = [c.without_vars((root,)) for c in clauses
-                      if c.value_on(root) == value]
-            if not branch:
-                raise ValueError(
-                    f"value {value} of variable {root} appears in no clause")
-            children.append(build(branch))
-        return DeficiencyOneTree(root, tuple(children))
-
-    tree = build(list(F.clauses()))
+    occurrences = Counter(lit.var for clause in F.clauses() for lit in clause)
+    ranked = sorted(occurrences, key=lambda v: (
+        -occurrences[v], table.domain_size(v) > 1, v))
+    position = {Literal(v, e): i for i, v in enumerate(ranked)
+                for e in table.domain(v)}
+    trie: Dict[Literal, dict] = {}  # literal -> subtrie; {} ends a path
+    for clause in F.clauses():
+        node = trie
+        for lit in sorted(clause, key=position.__getitem__):
+            node = node.setdefault(lit, {})
+    order, stack = [], [trie]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.values())
+    built: Dict[int, DeficiencyOneTree] = {}  # id(subtrie) -> its tree
+    for node in reversed(order):
+        if not node:
+            built[id(node)] = LEAF
+            continue
+        branching = {lit.var for lit in node}
+        if len(branching) > 1:
+            raise ValueError(f"variables {sorted(branching)} branch at one node")
+        (v,) = branching
+        if len(node) != table.domain_size(v):
+            raise ValueError(f"a node on variable {v} misses some of its values")
+        built[id(node)] = DeficiencyOneTree(
+            v, tuple(built[id(node[Literal(v, e)])] for e in table.domain(v)))
+    tree = built[id(trie)]
     if tree_to_clause_set(tree) != F:
         raise ValueError("reconstruction did not reproduce the clause-set")
     return tree
+
+
+def _classify_member(F: MultiClauseSet) -> Mu1Classification:
+    """classify_mu1 for an F already recognised as a member."""
+    if _is_hitting(F):
+        try:
+            return Mu1Classification("saturated", _tree_from_image(F))
+        except ValueError as exc:
+            return Mu1Classification("intermediate", None, str(exc))
+    counts = Counter(lit for clause in F.clauses() for lit in clause)
+    if all(counts[Literal(v, e)] == 1
+           for v in F.var_set() for e in F.table.domain(v)):
+        return Mu1Classification("marginal", None)
+    return Mu1Classification("intermediate", None)
 
 
 def classify_mu1(F: MultiClauseSet) -> Mu1Classification:
@@ -256,15 +372,7 @@ def classify_mu1(F: MultiClauseSet) -> Mu1Classification:
     if outcome.verdict != "mu1":
         raise ValueError(
             f"not minimally unsatisfiable of deficiency 1 ({outcome.reason})")
-    if classify_hitting(F).hitting:
-        try:
-            return Mu1Classification("saturated", _tree_from_image(F))
-        except ValueError as exc:
-            return Mu1Classification("intermediate", None, str(exc))
-    if all(F.count((v, e)) == 1
-           for v in F.var_set() for e in F.table.domain(v)):
-        return Mu1Classification("marginal", None)
-    return Mu1Classification("intermediate", None)
+    return _classify_member(F)
 
 
 def _widen(clause: Clause, v: int, value: int) -> Clause:

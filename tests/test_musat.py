@@ -1,6 +1,7 @@
 """Tests for minimal unsatisfiability at deficiency one."""
 
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,9 @@ from gcls import (
     is_matching_lean,
     max_deficiency,
 )
+from gcls.cli import emit_gcls, main
 from gcls.musat import (
+    _is_hitting,
     DeficiencyOneTree,
     DegreeMeasures,
     LEAF,
@@ -28,6 +31,7 @@ from gcls.musat import (
     stability_at_least,
     tree_to_clause_set,
 )
+from gcls.reductions import is_singular, singular_dp
 from gcls.satdec import assignment_space, is_minimally_unsatisfiable
 from gcls.structure import classify_hitting, hitting_sat
 
@@ -143,6 +147,15 @@ def random_wide_tree(rng, max_nodes):
 
     tree, _ = grow(rng.randint(1, max_nodes))
     return tree
+
+
+def chain_tree(depth, bottom=None):
+    """Node v has children (node v + 1, leaf); node depth ends the chain
+    unless bottom replaces it."""
+    chain = bottom or N(depth, [LEAF, LEAF])
+    for v in range(depth - 1, 0, -1):
+        chain = N(v, [chain, LEAF])
+    return chain
 
 
 def inner_vars(tree):
@@ -265,18 +278,12 @@ class TestTreeSerialization:
             assert parse_tree(format_tree(tree)) == tree
 
     def test_deep_chain_roundtrip_without_recursion(self):
-        depth = 5_000
-        chain = LEAF
-        for v in range(depth, 0, -1):
-            chain = DeficiencyOneTree(v, (chain, LEAF))
+        chain = chain_tree(5_000)
         text = format_tree(chain)
         parsed = parse_tree(text)
         assert format_tree(parsed) == text
-        node = parsed
-        for v in range(1, depth + 1):
-            assert node.var == v and node.children[1] == LEAF
-            node = node.children[0]
-        assert node == LEAF
+        assert parsed == chain and hash(parsed) == hash(chain)
+        assert parsed != chain_tree(5_000, bottom=N(5_000, [LEAF, LEAF, LEAF]))
 
     @pytest.mark.parametrize("text", [
         "",
@@ -314,7 +321,7 @@ class TestRecognizeMu1:
     def test_deficiency_two_member_of_mu_is_not(self):
         F = two_var_mu2()
         assert is_minimally_unsatisfiable(F) and F.delta == 2
-        assert recognize_mu1(F).verdict == "not_mu1"
+        assert recognize_mu1(F) == ("not_mu1", (), "no singular variable left")
 
     def test_repeated_clause_rejected_up_front(self):
         F = MultiClauseSet(VariableTable({1: 2}),
@@ -359,6 +366,127 @@ class TestRecognizeMu1:
             checked += 1
             members += expect
         assert checked >= 300 and members >= 80
+
+
+def reference_recognize(F):
+    """The smallest-singular elimination loop over the public primitives;
+    returns the verdict and the steps."""
+    if any(mult > 1 for _, mult in F.items()):
+        return "not_mu1", ()
+    steps = []
+    while F.items() != ((BOT, 1),):
+        v = next((w for w in sorted(F.var_set()) if is_singular(F, w)), None)
+        if v is None:
+            return "not_mu1", tuple(steps)
+        F, degenerate = singular_dp(F, v)
+        steps.append(v)
+        if degenerate:
+            return "not_mu1", tuple(steps)
+    return "mu1", tuple(steps)
+
+
+def reference_tree(F):
+    """Tree reconstruction by recursive splitting on a variable common to
+    all clauses, single-valued ones first."""
+    table = F.table
+
+    def build(clauses):
+        if clauses == [BOT]:
+            return LEAF
+        common = frozenset.intersection(*(c.variables for c in clauses))
+        root = min(common, key=lambda v: (table.domain_size(v) > 1, v))
+        return N(root, [build([c.without_vars((root,)) for c in clauses
+                               if c.value_on(root) == e])
+                        for e in table.domain(root)])
+
+    return build(list(F.clauses()))
+
+
+def reference_classify(F):
+    """Category and tree by the conflict matrix and per-literal counts."""
+    if classify_hitting(F).hitting:
+        return "saturated", reference_tree(F)
+    if all(F.count((v, e)) == 1 for v in F.var_set() for e in F.table.domain(v)):
+        return "marginal", None
+    return "intermediate", None
+
+
+def horn_chain(n):
+    """x1, x_i -> x_{i+1}, not x_n: a marginal member."""
+    clauses = [Clause([(1, 0)]), Clause([(n, 1)])]
+    clauses += [Clause([(i, 1), (i + 1, 0)]) for i in range(1, n)]
+    return MultiClauseSet(VariableTable({v: 2 for v in range(1, n + 1)}),
+                          {c: 1 for c in clauses})
+
+
+class TestMu1AgainstReference:
+    """The worklist recognition and the linear classification agree with
+    the smallest-singular loop and the conflict-matrix classification."""
+
+    def samples(self):
+        rng = random.Random(4242)
+        for _ in range(700):
+            F = oracles.random_instance(rng, max_n=4, max_dom=3, max_c=7,
+                                        allow_empty_clause=True,
+                                        multi=rng.random() < 0.5)
+            yield F
+            yield F.dedup()
+        for _ in range(60):
+            tree = random_tree(rng, 15)
+            yield tree_to_clause_set(tree)
+            names = inner_vars(tree)
+            shuffled = rng.sample(range(1, len(names) + 1), len(names))
+            yield tree_to_clause_set(relabel(tree, dict(zip(names, shuffled))))
+        for n in (1, 2, 3, 7, 20):
+            yield horn_chain(n)
+
+    def test_verdicts_steps_hitting_and_categories(self):
+        members = hitting_checked = 0
+        for F in self.samples():
+            outcome = recognize_mu1(F)
+            verdict, _ = reference_recognize(F)
+            assert outcome.verdict == verdict, dict(F.items())
+            unsat = verdict == "mu1" or (assignment_space(F) <= 5_000
+                                         and not oracles.brute_satisfiable(F))
+            if unsat:
+                assert _is_hitting(F) == classify_hitting(F).hitting, \
+                    dict(F.items())
+                hitting_checked += 1
+            if verdict != "mu1":
+                continue
+            members += 1
+            assert sorted(outcome.steps) == sorted(F.var_set())
+            result = classify_mu1(F)
+            assert (result.category, result.tree) == reference_classify(F), \
+                dict(F.items())
+        assert members >= 200 and hitting_checked >= 500
+
+    def test_chain_root_is_eliminated_last(self):
+        # Every variable of a chain image is singular; the cheapest is the
+        # deepest one, so the steps run bottom-up.
+        outcome = recognize_mu1(tree_to_clause_set(chain_tree(12)))
+        assert outcome == ("mu1", tuple(range(12, 0, -1)), None)
+
+
+class TestNoRecursionOnDepth:
+    def test_deep_chain_image_through_library_and_cli(self, tmp_path, capsys):
+        chain = chain_tree(300)
+        path = tmp_path / "chain.gcls"
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            F = tree_to_clause_set(chain)
+            path.write_text(emit_gcls(F), encoding="utf-8")
+            assert recognize_mu1(F).verdict == "mu1"
+            assert classify_mu1(F) == ("saturated", chain, None)
+            assert main(["mu1", str(path)]) == 0
+        finally:
+            sys.setrecursionlimit(limit)
+        out, _ = capsys.readouterr()
+        assert out == "MU1 saturated\n" + format_tree(chain) + "\n"
 
 
 class TestClassifyMu1:
