@@ -2,161 +2,167 @@
 autarkies, the matching-lean kernel, and repair of assignments to
 matching-maximum ones.
 
-The incidence graph has one node per clause occurrence and domain_size-1
-nodes per occurring variable, with an edge whenever the variable appears in
-the clause.  Maximal deficiency is clause count minus maximum-matching size;
-a multi-clause-set is matching satisfiable iff that number is zero.
+The incidence graph B(F) has one left node per clause occurrence and one
+right node per occurring variable v with capacity |D_v| - 1, and an edge
+whenever v occurs in the clause; B_phi(F) keeps only the edges whose
+literal phi satisfies.  A matching gives each occurrence at most one
+variable and each variable at most its capacity of occurrences, which is a
+matching of the graph with |D_v| - 1 copies of every variable node.
+
+``IncidenceGraph`` computes one maximum matching (a greedy pass, then one
+breadth-first augmenting search per occurrence left uncovered), and every
+answer is read off that matching:
+
+- the maximal deficiency is c - nu; F is matching satisfiable iff it is 0;
+- an occurrence lies in the matching-lean kernel iff some maximum matching
+  misses it, iff an even alternating path from an uncovered occurrence
+  reaches it (the Dulmage-Mendelsohn decomposition); the matched
+  occurrences outside that set give the quasi-maximal matching autarky;
+- the surplus comes from spare capacity: the variables alternating-reachable
+  from it form the witness, and with no spare capacity, raising the
+  capacity of v one unit at a time until no augmenting path leaves v
+  measures the best witness through v.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from collections import Counter
+from typing import Dict, List, NamedTuple, Optional
 
 from gcls.core import (
     BOT,
-    EMPTY_ASSIGNMENT,
     MultiClauseSet,
     PartialAssignment,
-    apply,
     compose,
     restrict,
 )
 
-ClauseNode = Tuple[int, int]  # (clause index in canonical order, occurrence)
-VarNode = Tuple[int, int]  # (variable, copy index 0..domain_size-2)
-
 
 class IncidenceGraph:
-    """Bipartite clause-occurrence / variable-copy graph of a multi-clause-set."""
+    """B(F), or B_phi(F) when phi is given, with one maximum matching.
 
-    __slots__ = ("F", "clauses", "clause_nodes", "variable_nodes", "adjacency")
-
-    def __init__(self, F: MultiClauseSet, extra_copies: Dict[int, int] | None = None):
-        extra = extra_copies or {}
-        self.F = F
-        self.clauses = F.clauses()
-        self.clause_nodes: List[ClauseNode] = [
-            (idx, occ)
-            for idx, clause in enumerate(self.clauses)
-            for occ in range(F.multiplicity(clause))]
-        copies = {v: F.table.domain_size(v) - 1 + extra.get(v, 0)
-                  for v in sorted(F.var_set())}
-        self.variable_nodes: List[VarNode] = [
-            (v, j) for v, k in copies.items() for j in range(k)]
-        self.adjacency: Dict[ClauseNode, Tuple[VarNode, ...]] = {}
-        for idx, clause in enumerate(self.clauses):
-            adj = tuple((lit.var, j)
-                        for lit in sorted(clause)
-                        for j in range(copies[lit.var]))
-            for occ in range(F.multiplicity(clause)):
-                self.adjacency[(idx, occ)] = adj
-
-    def clause_of(self, node: ClauseNode):
-        return self.clauses[node[0]]
-
-
-class ParamGraph:
-    """The subgraph of an incidence graph induced by a partial assignment.
-
-    Keeps exactly the edges whose clause literal is satisfied by phi.
+    Occurrences are numbered in canonical clause order: ``owner[o]`` indexes
+    ``clauses``, ``adj[o]`` lists the variables of positive capacity on an
+    edge of o, ``mate[o]`` is the variable matched to o (None when
+    uncovered), ``users[v]`` the occurrences matched to v, and ``size`` the
+    size of the matching.  ``lean`` holds the occurrences that an even
+    alternating path from an uncovered occurrence reaches, which are those
+    some maximum matching misses.
     """
 
-    __slots__ = ("base", "phi", "clause_nodes", "variable_nodes", "adjacency", "F", "clauses")
+    __slots__ = ("F", "clauses", "owner", "adj", "cap", "mate", "users", "size",
+                 "lean", "_on")
 
-    def __init__(self, base: IncidenceGraph, phi: PartialAssignment):
-        self.base = base
-        self.phi = phi
-        self.F = base.F
-        self.clauses = base.clauses
-        self.clause_nodes = base.clause_nodes
-        self.variable_nodes = base.variable_nodes
-        self.adjacency = {}
-        for node in base.clause_nodes:
-            clause = base.clauses[node[0]]
-            sat = {lit.var for lit in clause if phi.satisfies_literal(lit)}
-            self.adjacency[node] = tuple(vn for vn in base.adjacency[node]
-                                         if vn[0] in sat)
-
-
-def build_incidence(F: MultiClauseSet) -> IncidenceGraph:
-    return IncidenceGraph(F)
-
-
-def build_param_graph(F: MultiClauseSet, phi: PartialAssignment) -> ParamGraph:
-    return ParamGraph(build_incidence(F), phi)
-
-
-class Matching:
-    """A matching of an incidence graph, stored as clause-node -> var-node."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Dict[ClauseNode, VarNode]):
-        self.pairs = dict(pairs)
-        if len(set(self.pairs.values())) != len(self.pairs):
-            raise ValueError("two edges share a variable node")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def edges(self) -> frozenset:
-        return frozenset(self.pairs.items())
-
-    def covers_clause(self, node: ClauseNode) -> bool:
-        return node in self.pairs
-
-    def covered_variable_nodes(self) -> frozenset:
-        return frozenset(self.pairs.values())
-
-
-def _hopcroft_karp(graph) -> Dict[ClauseNode, VarNode]:
-    """Deterministic maximum matching (clause side -> variable side)."""
-    INF = len(graph.clause_nodes) + 1
-    match_l: Dict[ClauseNode, VarNode] = {}
-    match_r: Dict[VarNode, ClauseNode] = {}
-    dist: Dict[ClauseNode, int] = {}
-
-    def bfs() -> bool:
-        queue = []
-        for u in graph.clause_nodes:
-            if u not in match_l:
-                dist[u] = 0
-                queue.append(u)
+    def __init__(self, F: MultiClauseSet, phi: Optional[PartialAssignment] = None):
+        self.F = F
+        self.clauses = F.clauses()
+        cap = self.cap = {v: F.table.domain_size(v) - 1 for v in F.var_set()}
+        owner: List[int] = []
+        adj: List[List[int]] = []
+        for idx, (clause, mult) in enumerate(F.items()):
+            vs = [v for v, e in sorted(clause)
+                  if cap[v] and (phi is None or phi.satisfies_literal((v, e)))]
+            owner += [idx] * mult
+            adj += [vs] * mult
+        self.owner, self.adj, self._on = owner, adj, None
+        mate = self.mate = [None] * len(adj)
+        users = self.users = {v: [] for v in cap}
+        free = []
+        for o, vs in enumerate(adj):
+            for v in vs:
+                if len(users[v]) < cap[v]:
+                    mate[o] = v
+                    users[v].append(o)
+                    break
             else:
-                dist[u] = INF
-        found = False
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for r in graph.adjacency[u]:
-                w = match_r.get(r)
+                free.append(o)
+        self.size = len(adj) - len(free)
+        self.lean = {}
+        for o in free:
+            self._augment_from(o)
+
+    def _relink(self, o: int, v: int) -> None:
+        """Match occurrence o to variable v, releasing its previous mate."""
+        old = self.mate[o]
+        if old is None:
+            self.size += 1
+        else:
+            self.users[old].remove(o)
+        self.mate[o] = v
+        self.users[v].append(o)
+
+    def _augment(self, path: list) -> None:
+        """Flip an augmenting path [v0, o1, v1, ..., vk, o_end]: v0 has spare
+        capacity, each o_i is matched to v_i, and o_end is uncovered."""
+        for k in range(1, len(path), 2):
+            self._relink(path[k], path[k - 1])
+
+    def _spare(self) -> List[int]:
+        return [v for v in sorted(self.cap) if len(self.users[v]) < self.cap[v]]
+
+    def _augment_from(self, source: int) -> None:
+        """Breadth-first search for an augmenting path from an uncovered
+        occurrence, flipped when found.  When there is none, the reached
+        occurrences join ``lean``: their neighbours are saturated by them,
+        so no later augmenting path enters them and they stay unreachable
+        for the other searches."""
+        adj, mate, users, cap, lean = self.adj, self.mate, self.users, self.cap, self.lean
+        came = {source: None}
+        queue = [source]
+        for o in queue:
+            for v in adj[o]:
+                held = users[v]
+                if len(held) < cap[v]:
+                    path = [v, o]
+                    while came[o] is not None:
+                        path += [mate[o], came[o]]
+                        o = came[o]
+                    self._augment(path)
+                    return
+                for p in held:
+                    if p not in came and p not in lean:
+                        came[p] = o
+                        queue.append(p)
+        lean.update(came)
+
+    def _from_variables(self, sources):
+        """Breadth-first alternating search from variables with spare capacity.
+
+        Returns (path, None) for the first augmenting path found, or
+        (None, reached variables) when there is none.
+        """
+        if self._on is None:
+            self._on = {v: [] for v in self.cap}
+            for o, vs in enumerate(self.adj):
+                for v in vs:
+                    self._on[v].append(o)
+        on, mate = self._on, self.mate
+        came = dict.fromkeys(sources)
+        queue = list(came)
+        for v in queue:
+            for o in on[v]:
+                w = mate[o]
                 if w is None:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
+                    path = [o, v]
+                    while came[v] is not None:
+                        v, o = came[v]
+                        path += [o, v]
+                    return path[::-1], None
+                if w not in came:
+                    came[w] = (v, o)
                     queue.append(w)
-        return found
+        return None, came.keys()
 
-    def dfs(u: ClauseNode) -> bool:
-        for r in graph.adjacency[u]:
-            w = match_r.get(r)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = r
-                match_r[r] = u
-                return True
-        dist[u] = INF
-        return False
-
-    while bfs():
-        for u in graph.clause_nodes:
-            if u not in match_l:
-                dfs(u)
-    return match_l
-
-
-def maximum_matching(graph) -> Matching:
-    return Matching(_hopcroft_karp(graph))
+    def _assignment(self, occurrences) -> PartialAssignment:
+        """Each variable matched to one of the (matched) occurrences gets its
+        least value that none of them forbids; capacity |D_v| - 1 leaves one."""
+        forbidden: Dict[int, set] = {}
+        for o in occurrences:
+            v = self.mate[o]
+            forbidden.setdefault(v, set()).add(self.clauses[self.owner[o]].value_on(v))
+        return PartialAssignment({
+            v: min(e for e in self.F.table.domain(v) if e not in values)
+            for v, values in forbidden.items()})
 
 
 class MaxDeficiency(NamedTuple):
@@ -166,13 +172,10 @@ class MaxDeficiency(NamedTuple):
 
 def max_deficiency(F: MultiClauseSet) -> MaxDeficiency:
     """Maximal deficiency over all sub-multi-clause-sets, via maximum matching."""
-    graph = build_incidence(F)
-    match = _hopcroft_karp(graph)
-    counts: Dict[int, int] = {}
-    for (idx, _occ) in match:
-        counts[idx] = counts.get(idx, 0) + 1
+    graph = IncidenceGraph(F)
+    counts = Counter(graph.owner[o] for o, v in enumerate(graph.mate) if v is not None)
     part = F.with_clauses({graph.clauses[idx]: k for idx, k in counts.items()})
-    return MaxDeficiency(F.c - len(match), part)
+    return MaxDeficiency(len(graph.adj) - graph.size, part)
 
 
 def is_matching_satisfiable(F: MultiClauseSet) -> bool:
@@ -183,27 +186,19 @@ def matching_satisfying_assignment(F: MultiClauseSet) -> Optional[PartialAssignm
     """A satisfying assignment witnessing matching satisfiability, or None.
 
     Each variable matched to some clause occurrences receives the smallest
-    value not forbidden for it by those clauses; since a variable has at most
-    domain_size-1 copies, such a value always exists.
+    value not forbidden for it by those clauses; since a variable has
+    capacity domain_size-1, such a value always exists.
     """
-    graph = build_incidence(F)
-    match = _hopcroft_karp(graph)
-    if len(match) < F.c:
+    graph = IncidenceGraph(F)
+    if graph.size < len(graph.adj):
         return None
-    used: Dict[int, set] = {}
-    for (idx, _occ), (v, _j) in match.items():
-        used.setdefault(v, set()).add(graph.clauses[idx].value_on(v))
-    bindings = {}
-    for v, forbidden in used.items():
-        bindings[v] = min(e for e in F.table.domain(v) if e not in forbidden)
-    return PartialAssignment(bindings)
+    return graph._assignment(range(len(graph.adj)))
 
 
 def is_matching_autarky(phi: PartialAssignment, F: MultiClauseSet) -> bool:
     """phi is a matching-satisfying assignment of the restriction to var(phi)."""
     G = restrict(F, set(phi))
-    graph = ParamGraph(build_incidence(G), phi)
-    return len(_hopcroft_karp(graph)) == G.c
+    return IncidenceGraph(G, phi).size == G.c
 
 
 class Surplus(NamedTuple):
@@ -211,39 +206,18 @@ class Surplus(NamedTuple):
     witness: Optional[frozenset]  # nonempty V with delta(F[V]) == value, None iff n(F) == 0
 
 
-def _reachable_variable_set(graph, match_l: Dict[ClauseNode, VarNode]) -> frozenset:
-    """Variables with a copy alternating-reachable from an uncovered copy."""
-    match_r = {r: l for l, r in match_l.items()}
-    adj_r: Dict[VarNode, List[ClauseNode]] = {r: [] for r in graph.variable_nodes}
-    for l, rs in graph.adjacency.items():
-        for r in rs:
-            adj_r[r].append(l)
-    frontier = [r for r in graph.variable_nodes if r not in match_r]
-    seen_r = set(frontier)
-    seen_l = set()
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for l in adj_r[r]:
-                if l in seen_l or match_l.get(l) == r:
-                    continue
-                seen_l.add(l)
-                mate = match_l.get(l)
-                if mate is not None and mate not in seen_r:
-                    seen_r.add(mate)
-                    nxt.append(mate)
-        frontier = nxt
-    return frozenset(v for (v, _j) in seen_r)
-
-
 def surplus(F: MultiClauseSet, at_most: Optional[int] = None) -> Surplus:
     """Minimum of delta(F[V]) over nonempty variable sets V (0 when n(F)=0).
 
-    Computed by maximum matchings: first the uncovered-variable-node test for
-    negative surplus, then for s = 1, 2, ... the domain-extension test which
-    either certifies surplus >= s or yields a witness V with delta(F[V]) = s-1.
-    With at_most=k the search stops early and reports min(surplus, k+1) style:
-    a returned value > k only means the surplus exceeds k.
+    With spare capacity in a maximum matching the surplus is negative and
+    the variables alternating-reachable from the spare capacity are the
+    witness.  Otherwise, for each variable v in turn, the capacity of v is
+    raised one unit at a time, each time followed by one augmenting search
+    from v; the first failure at s extra units yields the witness reachable
+    from v with delta = s-1, and later variables only try fewer units.  The
+    matching is restored before the next v.
+    With at_most=k the search stops early and reports min(surplus, k+1)
+    style: a returned value > k only means the surplus exceeds k.
     """
     occurring = sorted(F.var_set())
     if not occurring:
@@ -258,37 +232,28 @@ def surplus(F: MultiClauseSet, at_most: Optional[int] = None) -> Surplus:
     if not nontrivial:
         return best
 
-    def validated(value: int, V: frozenset) -> Optional[Surplus]:
-        if V and restrict(stripped, V).delta == value:
-            return Surplus(value, V)
-        return None
-
     graph = IncidenceGraph(stripped)
-    match = _hopcroft_karp(graph)
-    if len(match) < stripped.rd:
-        cand = validated(len(match) - stripped.rd, _reachable_variable_set(graph, match))
-        assert cand is not None
-        return cand if best is None or cand.value < best.value else best
-    limit = stripped.delta if at_most is None else min(stripped.delta, at_most)
-    for s in range(1, limit + 1):
-        if best is not None and best.value <= s - 1:
-            return best
-        for v in nontrivial:
-            ext_graph = IncidenceGraph(stripped, extra_copies={v: s})
-            ext_match = _hopcroft_karp(ext_graph)
-            if len(ext_match) < stripped.rd + s:
-                cand = validated(s - 1, _reachable_variable_set(ext_graph, ext_match))
-                if cand is not None:
-                    if best is None or cand.value < best.value:
-                        best = cand
-                    return best
-    final = validated(stripped.delta, frozenset(stripped.var_set()))
-    if final is not None and (best is None or final.value < best.value):
-        best = final
-    if best is None:
-        # only reachable when the extension loop was cut short by at_most
-        best = Surplus(limit + 1, None)
-    return best
+    spare = graph._spare()
+    found = (graph.size - stripped.rd, graph._from_variables(spare)[1]) if spare else None
+    top = stripped.delta if at_most is None else min(stripped.delta, at_most)
+    if best is not None:
+        top = min(top, best.value)
+    for v in () if spare else nontrivial:
+        saved = (graph.cap[v], graph.mate[:],
+                 {w: held[:] for w, held in graph.users.items()}, graph.size)
+        for s in range(1, top + 1):
+            graph.cap[v] += 1
+            path, reached = graph._from_variables([v])
+            if path is None:
+                found, top = (s - 1, reached), s - 1
+                break
+            graph._augment(path)
+        graph.cap[v], graph.mate, graph.users, graph.size = saved
+    if found is None:  # no variable beats the whole set within top
+        found = (stripped.delta, stripped.var_set())
+    cand = Surplus(found[0], frozenset(found[1]))
+    assert cand.witness and restrict(stripped, cand.witness).delta == cand.value
+    return cand if best is None or cand.value < best.value else best
 
 
 def surplus_at_least(F: MultiClauseSet, bound: int) -> bool:
@@ -299,63 +264,31 @@ def surplus_at_least(F: MultiClauseSet, bound: int) -> bool:
 
 
 def is_matching_lean(F: MultiClauseSet) -> bool:
-    """No nontrivial matching autarky exists (surplus >= 1 when n > 0)."""
-    if not F.var_set():
-        return True
-    return surplus_at_least(F, 1)
+    """No nontrivial matching autarky exists (surplus >= 1 when n > 0):
+    every occurrence is missed by some maximum matching."""
+    graph = IncidenceGraph(F)
+    return len(graph.lean) == len(graph.adj)
 
 
 def matching_lean_kernel(F: MultiClauseSet) -> MultiClauseSet:
-    """The largest matching-lean sub-multi-clause-set (the matching-lean kernel).
-
-    While F is not matching lean, scan variables in ascending order for the
-    first v_i such that crossing out {v_1..v_{i-1}} leaves a non-lean set but
-    crossing out {v_1..v_i} a lean one, and keep only the clauses not
-    containing v_i; the fixpoint is the kernel.
-    """
-    from gcls.core import cross_out
-
-    while not is_matching_lean(F):
-        selected = None
-        crossed = F  # crossing out nothing: F itself, known not lean
-        for v in sorted(F.var_set()):
-            crossed = cross_out({v}, crossed)
-            if is_matching_lean(crossed):
-                selected = v
-                break
-        assert selected is not None  # crossing out every variable gives a lean set
-        F = F.with_clauses({c: m for c, m in F.items() if not c.has_var(selected)})
-    return F
-
-
-def matching_lean_kernel_by_deficiency_drop(F: MultiClauseSet) -> MultiClauseSet:
-    """Faster kernel computation with the same output.
-
-    A clause belongs to the kernel iff removing one occurrence of it lowers
-    the maximal deficiency, i.e. iff it lies in every sub-multi-clause-set
-    realising the maximal deficiency; occurrences of one clause stand or fall
-    together.
-    """
-    target = max_deficiency(F).value
-    kept = {}
-    for clause, mult in F.items():
-        reduced = {c: m for c, m in F.items() if c != clause}
-        if mult > 1:
-            reduced[clause] = mult - 1
-        if max_deficiency(F.with_clauses(reduced)).value < target:
-            kept[clause] = mult
-    return F.with_clauses(kept)
+    """The largest matching-lean sub-multi-clause-set (the matching-lean
+    kernel): the clauses whose occurrences some maximum matching misses.
+    Occurrences of one clause stand or fall together."""
+    graph = IncidenceGraph(F)
+    kept = {graph.owner[o] for o in graph.lean}
+    return F.with_clauses({c: m for idx, (c, m) in enumerate(F.items()) if idx in kept})
 
 
 def quasi_maximal_matching_autarky(F: MultiClauseSet) -> PartialAssignment:
-    """A matching autarky whose application yields the matching-lean kernel."""
-    kernel = matching_lean_kernel_by_deficiency_drop(F)
-    V = F.var_set() - kernel.var_set()
-    if not V:
-        return EMPTY_ASSIGNMENT
-    phi = matching_satisfying_assignment(restrict(F, V))
-    assert phi is not None and apply(phi, F) == kernel
-    return phi
+    """A matching autarky whose application yields the matching-lean kernel;
+    empty iff F is matching lean.
+
+    The occurrences outside the kernel are matched in every maximum matching,
+    never to a kernel variable, so the assignment read off them satisfies
+    exactly those clauses and touches no kernel clause.
+    """
+    graph = IncidenceGraph(F)
+    return graph._assignment(o for o in range(len(graph.adj)) if o not in graph.lean)
 
 
 def tovey_check(F: MultiClauseSet) -> bool:
@@ -382,146 +315,62 @@ class Change(NamedTuple):
     new: int
 
 
-class _RepairState:
-    def __init__(self, F: MultiClauseSet, phi0: PartialAssignment):
-        self.F = F
-        self.graph = build_incidence(F)
-        self.phi = phi0
-        self.changes: List[Change] = []
-        self._refresh()
-
-    def _refresh(self):
-        self.sat_vars = {}
-        for idx, clause in enumerate(self.graph.clauses):
-            self.sat_vars[idx] = {lit.var for lit in clause
-                                  if self.phi.satisfies_literal(lit)}
-
-    def edge_live(self, cnode: ClauseNode, vnode: VarNode) -> bool:
-        return vnode[0] in self.sat_vars[cnode[0]]
-
-    def extend(self, v: int, value: int):
-        assert v not in self.phi
-        self.changes.append(Change("extend", v, None, value))
-        self.phi = compose(self.phi, PartialAssignment({v: value}))
-        self._refresh()
-
-    def flip(self, v: int, value: int):
-        assert v in self.phi and self.phi[v] != value
-        self.changes.append(Change("flip", v, self.phi[v], value))
-        self.phi = compose(self.phi, PartialAssignment({v: value}))
-        self._refresh()
-
-    def conservative_change_for_edge(self, cnode: ClauseNode, vnode: VarNode,
-                                     match: Dict[ClauseNode, VarNode]):
-        """Make the edge live by one conservative change.
-
-        Sound when no extension of the current matching covers vnode: either
-        bind the unassigned variable to any non-forbidden value, or flip it,
-        avoiding the forbidden value and every value the matching relies on.
-        """
-        v0 = vnode[0]
-        clause = self.graph.clauses[cnode[0]]
-        eps0 = clause.value_on(v0)
-        if v0 not in self.phi:
-            choice = min(e for e in self.F.table.domain(v0) if e != eps0)
-            self.extend(v0, choice)
-            return
-        assert self.phi[v0] == eps0, "edge was live already"
-        in_use = {self.graph.clauses[c_idx].value_on(v0)
-                  for (c_idx, _occ), (w, _j) in match.items() if w == v0}
-        candidates = [e for e in self.F.table.domain(v0)
-                      if e != eps0 and e not in in_use]
-        assert candidates, "matching left no free value"
-        self.flip(v0, min(candidates))
-
-
-def _free_live_edge(state: _RepairState, match: Dict[ClauseNode, VarNode]):
-    covered_r = set(match.values())
-    for cnode in state.graph.clause_nodes:
-        if cnode in match:
-            continue
-        for vnode in state.graph.adjacency[cnode]:
-            if vnode not in covered_r and state.edge_live(cnode, vnode):
-                return cnode, vnode
-    return None
-
-
-def _augmenting_path(graph: IncidenceGraph, match: Dict[ClauseNode, VarNode]):
-    """Lexicographically least (greedily, by node order) augmenting path.
-
-    Returned as [var-node, clause-node, var-node, ..., clause-node]: it starts
-    at an uncovered variable node, alternates non-matching/matching edges, and
-    ends at an uncovered clause node.
-    """
-    match_r = {r: l for l, r in match.items()}
-    adj_r: Dict[VarNode, List[ClauseNode]] = {r: [] for r in graph.variable_nodes}
-    for l, rs in graph.adjacency.items():
-        for r in rs:
-            adj_r[r].append(l)
-    for r in adj_r:
-        adj_r[r].sort()
-
-    def dfs(r: VarNode, blocked: set):
-        for l in adj_r[r]:
-            if l in blocked or match.get(l) == r:
-                continue
-            blocked.add(l)
-            if l not in match:
-                return [r, l]
-            rest = dfs(match[l], blocked)
-            if rest is not None:
-                return [r, l] + rest
-        return None
-
-    for start in sorted(r for r in graph.variable_nodes if r not in match_r):
-        path = dfs(start, set())
-        if path is not None:
-            return path
-    return None
-
-
 def repair_to_matching_maximum(F: MultiClauseSet, phi0: PartialAssignment):
     """Repair phi0 by conservative changes until it is matching-maximum.
 
     Returns (phi, changes) with nu(B_phi(F)) = nu(B(F)).  Each change is an
     extension or a flip preserving all clauses currently satisfied, so the set
     of satisfied clauses grows monotonically along the change sequence.
+    The graph of F carries a maximum matching of the live edges (those whose
+    literal phi satisfies), grown along augmenting paths of the full graph.
     """
-    state = _RepairState(F, phi0)
-    target = len(_hopcroft_karp(state.graph))
-    match = dict(_hopcroft_karp(ParamGraph(state.graph, state.phi)))
+    graph = IncidenceGraph(F)
+    target = graph.size
+    live = IncidenceGraph(F, phi0)
+    graph.mate, graph.users, graph.size = live.mate, live.users, live.size
+    phi, changes = phi0, []
 
-    def maximalise() -> None:
-        while True:
-            edge = _free_live_edge(state, match)
-            if edge is None:
-                return
-            match[edge[0]] = edge[1]
+    def forbidden(o: int, v: int) -> int:
+        return graph.clauses[graph.owner[o]].value_on(v)
+
+    def free_live_edge():
+        for o, mate in enumerate(graph.mate):
+            if mate is None:
+                for v in graph.adj[o]:
+                    if (len(graph.users[v]) < graph.cap[v]
+                            and phi.satisfies_literal((v, forbidden(o, v)))):
+                        return o, v
+        return None
+
+    def make_live(o: int, v: int) -> None:
+        # Sound when no extension of the matching covers the spare capacity
+        # of v: bind v, or flip it, to a value avoiding the one o forbids and
+        # every one the clauses matched to v rely on.
+        nonlocal phi
+        old = phi.get(v)
+        assert old in (None, forbidden(o, v)), "edge was live already"
+        in_use = {forbidden(p, v) for p in graph.users[v]} | {forbidden(o, v)}
+        candidates = [e for e in F.table.domain(v) if e not in in_use]
+        assert candidates, "matching left no free value"
+        changes.append(Change("extend" if old is None else "flip", v, old, candidates[0]))
+        phi = compose(phi, PartialAssignment({v: candidates[0]}))
 
     while True:
-        maximalise()
-        if len(match) >= target:
-            return state.phi, state.changes
-        path = _augmenting_path(state.graph, match)
+        edge = free_live_edge()
+        while edge is not None:
+            graph._relink(*edge)
+            edge = free_live_edge()
+        if graph.size >= target:
+            return phi, changes
+        path, _ = graph._from_variables(graph._spare())
         assert path is not None
-        # walk the path: relink each matched clause node to the variable node
-        # freed so far, then extend with the final edge
-        progressed = False
-        for k in range(1, len(path) - 1, 2):
-            cnode, old_v, new_v = path[k], path[k + 1], path[k - 1]
-            assert match[cnode] == old_v
-            if _free_live_edge(state, match) is not None:
-                progressed = True  # current matching not maximal: grow instead
+        # walk the path: relink each clause occurrence to the variable before
+        # it, making the edge live first; stop as soon as the matching is no
+        # longer maximal on the live edges, so that it grows instead
+        for k in range(1, len(path), 2):
+            if free_live_edge() is not None:
                 break
-            if not state.edge_live(cnode, new_v):
-                pruned = {l: r for l, r in match.items() if l != cnode}
-                state.conservative_change_for_edge(cnode, new_v, pruned)
-            match[cnode] = new_v
-        if progressed:
-            continue
-        last_c, last_v = path[-1], path[-2]
-        if _free_live_edge(state, match) is None:
-            if not state.edge_live(last_c, last_v):
-                state.conservative_change_for_edge(last_c, last_v, match)
-            match[last_c] = last_v
-        # otherwise the next maximalise() grows the matching
+            o, v = path[k], path[k - 1]
+            if not phi.satisfies_literal((v, forbidden(o, v))):
+                make_live(o, v)
+            graph._relink(o, v)

@@ -92,8 +92,9 @@ class DeficiencyOneTree:
     reached by assigning value j, so the edge labelling is the tuple
     position.  Variable labels must be distinct across the whole tree;
     that global condition is checked by the consumers (tree_to_clause_set,
-    parse_tree), not per node.  Equality and hashing are structural and
-    walk the tree with an explicit stack, so deep trees compare fine.
+    parse_tree), not per node.  Equality, hashing and repr are structural
+    and walk the tree with an explicit stack, so deep trees work too; repr
+    prints the text the dataclass would generate.
     """
 
     var: Optional[int] = None
@@ -145,6 +146,22 @@ class DeficiencyOneTree:
             hashes[id(node)] = hash(
                 (node.var, tuple(hashes[id(c)] for c in node.children)))
         return hashes[id(self)]
+
+    def __repr__(self) -> str:
+        parts, stack = [], [self]  # stack: subtrees still to print, closing text
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(f"{type(item).__qualname__}(var={item.var!r}, children=(")
+            kids = item.children
+            stack.append(",))" if len(kids) == 1 else "))")
+            for i in reversed(range(len(kids))):
+                stack.append(kids[i])
+                if i:
+                    stack.append(", ")
+        return "".join(parts)
 
 
 LEAF = DeficiencyOneTree()

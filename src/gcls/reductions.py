@@ -30,7 +30,7 @@ from .core import (
     rename,
     restrict,
 )
-from .matching import is_matching_lean, quasi_maximal_matching_autarky, surplus
+from .matching import quasi_maximal_matching_autarky, surplus
 
 
 # -- step records for witness reconstruction ---------------------------------
@@ -340,8 +340,8 @@ def _r_reduce_logged(F: MultiClauseSet) -> Tuple[MultiClauseSet, List]:
             steps.append(AutarkyStep(phi))
             F = apply(phi, F)
             continue
-        if not is_matching_lean(F):
-            phi = quasi_maximal_matching_autarky(F)
+        phi = quasi_maximal_matching_autarky(F)
+        if phi:  # empty iff F is matching lean
             steps.append(AutarkyStep(phi))
             F = apply(phi, F)
             continue

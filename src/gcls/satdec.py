@@ -189,7 +189,6 @@ def sat_fpt(F: MultiClauseSet) -> FptResult:
     """
     from .translate import direct_weak, lift_assignment
     from .reductions import _pure_fixpoint, AutarkyStep
-    from .matching import is_matching_lean
 
     translation = direct_weak(F)
     G = translation.boolean_cnf
@@ -197,9 +196,9 @@ def sat_fpt(F: MultiClauseSet) -> FptResult:
     while True:
         G, pure_steps = _pure_fixpoint(G)
         steps.extend(pure_steps)
-        if is_matching_lean(G):
-            break
         phi = quasi_maximal_matching_autarky(G)
+        if not phi:  # empty iff G is matching lean
+            break
         steps.append(AutarkyStep(phi))
         G = apply(phi, G)
     sat, model, leaves = _branch_and_reduce(G)

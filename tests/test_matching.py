@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -16,17 +17,12 @@ from gcls.core import (
 )
 from gcls.matching import (
     IncidenceGraph,
-    ParamGraph,
-    _hopcroft_karp,
-    build_incidence,
     is_matching_autarky,
     is_matching_lean,
     is_matching_satisfiable,
     matching_lean_kernel,
-    matching_lean_kernel_by_deficiency_drop,
     matching_satisfying_assignment,
     max_deficiency,
-    maximum_matching,
     quasi_maximal_matching_autarky,
     repair_to_matching_maximum,
     surplus,
@@ -34,7 +30,7 @@ from gcls.matching import (
     tovey_check,
 )
 
-from gcls.cli import emit_gcls, parse_gcls
+from gcls.cli import emit_gcls, main, parse_gcls
 from gcls.encode import Hypergraph, hypergraph_coloring, strong_coloring, vdw_instance
 
 import oracles
@@ -153,48 +149,82 @@ def random_partial(rng, F, allow_outside=False):
         {v: rng.randrange(F.table.domain_size(v)) for v in chosen})
 
 
+def copy_edges(G):
+    """Edges of G counted as in the graph with one node per variable copy."""
+    return sum(G.cap[v] for vs in G.adj for v in vs)
+
+
+def assert_valid_matching(G, phi=None):
+    """mate and users describe one matching of the edges of G within capacity."""
+    assert G.size == sum(v is not None for v in G.mate)
+    for o, v in enumerate(G.mate):
+        if v is not None:
+            assert v in G.adj[o] and o in G.users[v]
+            assert phi is None or phi.satisfies_literal(
+                (v, G.clauses[G.owner[o]].value_on(v)))
+    for v, held in G.users.items():
+        assert len(held) <= G.cap[v] and all(G.mate[o] == v for o in held)
+
+
 class TestIncidence:
     def test_triangle_counts(self):
-        G = build_incidence(triangle_example())
-        assert len(G.clause_nodes) == 3
-        assert len(G.variable_nodes) == 6
-        assert sum(len(adj) for adj in G.adjacency.values()) == 12
+        G = IncidenceGraph(triangle_example())
+        assert len(G.adj) == 3
+        assert sum(G.cap.values()) == 6
+        assert copy_edges(G) == 12
 
     def test_top_empty(self):
-        G = build_incidence(top(VariableTable({1: 3})))
-        assert G.clause_nodes == [] and G.variable_nodes == []
+        G = IncidenceGraph(top(VariableTable({1: 3})))
+        assert G.adj == [] and G.cap == {}
 
     def test_counts_match_formulas(self):
         rng = random.Random(401)
         for _ in range(60):
             F = oracles.random_instance(rng)
-            G = build_incidence(F)
-            assert len(G.clause_nodes) == F.c
-            assert len(G.variable_nodes) == F.rd
+            G = IncidenceGraph(F)
+            assert len(G.adj) == F.c
+            assert sum(G.cap.values()) == F.rd
             expected_edges = sum(
                 F.var_count(v) * (F.table.domain_size(v) - 1)
                 for v in F.var_set())
-            assert sum(len(a) for a in G.adjacency.values()) == expected_edges
+            assert copy_edges(G) == expected_edges
 
 
 class TestMaximumMatching:
     def test_triangle_covers_all_clauses(self):
-        G = build_incidence(triangle_example())
-        M = maximum_matching(G)
-        assert len(M) == 3
-        assert all(M.covers_clause(node) for node in G.clause_nodes)
+        G = IncidenceGraph(triangle_example())
+        assert G.size == 3
+        assert all(v is not None for v in G.mate)
+        assert_valid_matching(G)
 
     def test_empty(self):
-        G = build_incidence(top(VariableTable({})))
-        assert len(maximum_matching(G)) == 0
+        G = IncidenceGraph(top(VariableTable({})))
+        assert G.size == 0
 
     def test_against_independent_matcher_and_subset_oracle(self):
         rng = random.Random(402)
         for _ in range(50):
             F = oracles.random_instance(rng, max_c=7)
-            nu = len(_hopcroft_karp(build_incidence(F)))
-            assert nu == oracles.kuhn_maximum_matching(oracles.incidence_edges(F))
-            assert nu == F.c - oracles.brute_max_deficiency(F)
+            G = IncidenceGraph(F)
+            assert_valid_matching(G)
+            assert G.size == oracles.kuhn_maximum_matching(oracles.incidence_edges(F))
+            assert G.size == F.c - oracles.brute_max_deficiency(F)
+
+    def test_assignment_graph_against_independent_matcher(self):
+        # B_phi(F) keeps the edges whose literal phi satisfies
+        rng = random.Random(423)
+        for _ in range(60):
+            F = oracles.random_instance(rng, max_c=7)
+            phi = random_partial(rng, F)
+            G = IncidenceGraph(F, phi)
+            assert_valid_matching(G, phi)
+            edges = {}
+            for idx, (clause, mult) in enumerate(F.items()):
+                adj = [(lit.var, j) for lit in sorted(clause) if phi.satisfies_literal(lit)
+                       for j in range(F.table.domain_size(lit.var) - 1)]
+                for occ in range(mult):
+                    edges[(idx, occ)] = adj
+            assert G.size == oracles.kuhn_maximum_matching(edges)
 
 
 class TestMaxDeficiency:
@@ -354,13 +384,12 @@ class TestMatchingLeanKernel:
         F = unit_chain_example()
         assert matching_lean_kernel(F) == top(F.table)
 
-    def test_against_fixpoint_oracle_and_shortcut(self):
+    def test_against_fixpoint_oracle(self):
         rng = random.Random(411)
         for _ in range(35):
             F = oracles.random_instance(rng, max_n=4, max_c=6)
             kernel = matching_lean_kernel(F)
             assert kernel == oracles.brute_matching_lean_kernel(F)
-            assert kernel == matching_lean_kernel_by_deficiency_drop(F)
             assert kernel.delta == max_deficiency(F).value
 
     def test_nonempty_kernel_deficiency(self):
@@ -369,7 +398,7 @@ class TestMatchingLeanKernel:
         seen = 0
         for _ in range(40):
             F = oracles.random_instance(rng, max_c=8)
-            kernel = matching_lean_kernel_by_deficiency_drop(F)
+            kernel = matching_lean_kernel(F)
             if kernel.c:
                 assert kernel.delta == max_deficiency(kernel).value >= 1
                 seen += 1
@@ -466,7 +495,7 @@ class TestTovey:
 
 
 def nu_of(F, phi):
-    return len(_hopcroft_karp(ParamGraph(build_incidence(F), phi)))
+    return IncidenceGraph(F, phi).size
 
 
 def replay_changes(F, phi0, changes, phi_final):
@@ -493,7 +522,7 @@ class TestRepair:
     def test_from_empty_assignment(self):
         F = matrix_example()
         phi, changes = repair_to_matching_maximum(F, EMPTY_ASSIGNMENT)
-        target = len(_hopcroft_karp(build_incidence(F)))
+        target = IncidenceGraph(F).size
         assert nu_of(F, phi) == target
         replay_changes(F, EMPTY_ASSIGNMENT, changes, phi)
 
@@ -503,7 +532,7 @@ class TestRepair:
             F = oracles.random_instance(rng, max_n=5, max_c=8)
             phi0 = random_partial(rng, F)
             phi, changes = repair_to_matching_maximum(F, phi0)
-            assert nu_of(F, phi) == len(_hopcroft_karp(build_incidence(F)))
+            assert nu_of(F, phi) == IncidenceGraph(F).size
             replay_changes(F, phi0, changes, phi)
 
     def test_satisfying_start_stays_satisfying(self):
@@ -532,13 +561,12 @@ class TestRepair:
             if not models:
                 continue
             phi, _ = repair_to_matching_maximum(F, models[0])
-            graph = build_incidence(F)
-            match = _hopcroft_karp(ParamGraph(graph, phi))
-            uncovered = [node for node in graph.clause_nodes if node not in match]
+            graph = IncidenceGraph(F, phi)
+            uncovered = [o for o, v in enumerate(graph.mate) if v is None]
             assert len(uncovered) == max_deficiency(F).value
             keep = set()
-            for node in uncovered:
-                clause = graph.clauses[node[0]]
+            for o in uncovered:
+                clause = graph.clauses[graph.owner[o]]
                 keep.add(min(lit.var for lit in clause
                              if phi.satisfies_literal(lit)))
             small = PartialAssignment({v: phi[v] for v in keep})
@@ -674,3 +702,34 @@ class TestEqualClauseSetsEqualAnswers:
             assert max_deficiency(F).value == oracles.brute_max_deficiency(F)
             assert is_matching_lean(F) == (kernel == F)
             assert matching_lean_kernel(F) == kernel
+
+
+def chain_example(n):
+    """{1:1} and {i:0, i+1:0} for i < n over boolean variables: every
+    augmenting path of the matching runs down the whole chain."""
+    table = VariableTable({v: 2 for v in range(1, n + 1)})
+    return MultiClauseSet(table, [Clause([(1, 1)])] + [
+        Clause([(i, 0), (i + 1, 0)]) for i in range(1, n)])
+
+
+class TestNoRecursionOnDepth:
+    def test_long_chain_through_library_and_cli(self, tmp_path, capsys):
+        F = chain_example(300)
+        path = tmp_path / "chain.gcls"
+        path.write_text(emit_gcls(F), encoding="utf-8")
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert max_deficiency(F).value == 0
+            assert surplus(F) == (0, F.var_set())
+            assert matching_lean_kernel(F) == top(F.table)
+            phi, _ = repair_to_matching_maximum(F, EMPTY_ASSIGNMENT)
+            assert nu_of(F, phi) == F.c
+            assert main(["lean-kernel", str(path)]) == 0
+        finally:
+            sys.setrecursionlimit(limit)
+        out, _ = capsys.readouterr()
+        assert out == emit_gcls(top(F.table))

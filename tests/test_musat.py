@@ -468,7 +468,32 @@ class TestMu1AgainstReference:
         assert outcome == ("mu1", tuple(range(12, 0, -1)), None)
 
 
+def generated_repr(tree):
+    """The text of the dataclass-generated repr, built recursively."""
+    kids = ", ".join(generated_repr(c) for c in tree.children)
+    if len(tree.children) == 1:
+        kids += ","
+    return f"DeficiencyOneTree(var={tree.var!r}, children=({kids}))"
+
+
 class TestNoRecursionOnDepth:
+    def test_repr_keeps_the_generated_text(self):
+        assert repr(LEAF) == "DeficiencyOneTree(var=None, children=())"
+        assert repr(N(4, [LEAF])) == (
+            "DeficiencyOneTree(var=4, children="
+            "(DeficiencyOneTree(var=None, children=()),))")
+        rng = random.Random(1203)
+        trees = [example_tree(), chain_tree(5)] + [random_tree(rng, 12) for _ in range(50)]
+        for tree in trees:
+            assert repr(tree) == generated_repr(tree)
+
+    def test_repr_of_deep_chain(self):
+        text = repr(chain_tree(1200))
+        assert text.count("var=") == 2401
+        assert text.startswith("DeficiencyOneTree(var=1, children=(DeficiencyOneTree(var=2, ")
+        leaf = "DeficiencyOneTree(var=None, children=())"
+        assert text.endswith(f"var=1200, children=({leaf}, {leaf}))" + f", {leaf}))" * 1199)
+
     def test_deep_chain_image_through_library_and_cli(self, tmp_path, capsys):
         chain = chain_tree(300)
         path = tmp_path / "chain.gcls"
