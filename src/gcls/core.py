@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Tuple
 
 
@@ -28,33 +29,36 @@ class Clause(frozenset):
     """A clashing-free frozenset of literals.
 
     Construction rejects two literals on the same variable with different
-    values; duplicate (var, value) pairs collapse by set semantics.
+    values; duplicate (var, value) pairs collapse by set semantics.  A clause
+    keeps the variable-to-value map its clash check builds, so ``has_var``
+    and ``value_on`` are dictionary lookups.
     """
 
+    __slots__ = ("_by_var",)
+
     def __new__(cls, literals: Iterable[Tuple[int, int]] = ()) -> "Clause":
-        lits = frozenset(Literal(int(v), int(e)) for (v, e) in literals)
         by_var: Dict[int, int] = {}
-        for lit in lits:
-            if by_var.setdefault(lit.var, lit.value) != lit.value:
-                raise ValueError(f"clashing literals on variable {lit.var}")
-        return super().__new__(cls, lits)
+        for v, e in literals:
+            v, e = int(v), int(e)
+            if by_var.setdefault(v, e) != e:
+                raise ValueError(f"clashing literals on variable {v}")
+        self = super().__new__(cls, map(_literal, by_var.items()))
+        self._by_var = by_var
+        return self
 
     @property
     def variables(self) -> frozenset:
-        return frozenset(lit.var for lit in self)
+        return frozenset(self._by_var)
 
     def value_on(self, v: int) -> int:
         """The forbidden value this clause states for v (KeyError if absent)."""
-        for lit in self:
-            if lit.var == v:
-                return lit.value
-        raise KeyError(v)
+        return self._by_var[v]
 
     def has_var(self, v: int) -> bool:
-        return any(lit.var == v for lit in self)
+        return v in self._by_var
 
     def without_vars(self, vs) -> "Clause":
-        return Clause(lit for lit in self if lit.var not in vs)
+        return _clause({v: e for v, e in self._by_var.items() if v not in vs})
 
     def sort_key(self) -> tuple:
         return tuple(sorted(self))
@@ -62,6 +66,16 @@ class Clause(frozenset):
     def __repr__(self) -> str:
         inner = ",".join(f"{v}:{e}" for (v, e) in sorted(self))
         return "{" + inner + "}"
+
+
+_literal = partial(tuple.__new__, Literal)
+
+
+def _clause(by_var: Dict[int, int]) -> Clause:
+    """The clause of a variable-to-value map of ints, without re-checking."""
+    self = frozenset.__new__(Clause, map(_literal, by_var.items()))
+    self._by_var = by_var
+    return self
 
 
 #: The empty clause (unsatisfiable by every assignment).
@@ -143,6 +157,12 @@ def _clause_items(clauses) -> Iterator[Tuple[Clause, int]]:
                 yield entry, 1
 
 
+class _Trusted(dict):
+    """Positive clause multiplicities derived inside the library from clauses
+    already checked against the same table.  ``MultiClauseSet`` takes it as
+    its clause map, without per-literal checks."""
+
+
 class MultiClauseSet:
     """An immutable map from clauses to positive multiplicities over a table.
 
@@ -150,13 +170,19 @@ class MultiClauseSet:
     after crossing out variables) add up instead of merging.  A clause-set is
     simply a multi-clause-set whose multiplicities are all 1; ``dedup`` is
     the one way to get it.  Iteration order of clauses is canonical (sorted
-    literal tuples), so equal objects print and serialise identically.
+    literal tuples), so equal objects print and serialise identically; a
+    derived object sorts its clauses on the first ordered access.
     """
 
-    __slots__ = ("table", "_clauses")
+    __slots__ = ("table", "_clauses", "_ordered")
 
     def __init__(self, table: VariableTable, clauses=()):
         self.table = table
+        if type(clauses) is _Trusted:
+            self._clauses = clauses
+            self._ordered = False
+            return
+        sizes = table._sizes
         acc: Dict[Clause, int] = {}
         for clause, mult in _clause_items(clauses):
             if not isinstance(clause, Clause):
@@ -165,21 +191,29 @@ class MultiClauseSet:
                 raise ValueError("negative multiplicity")
             if mult == 0:
                 continue
-            for lit in clause:
-                if lit.var not in table:
-                    raise ValueError(f"variable {lit.var} not declared")
-                if not 0 <= lit.value < table.domain_size(lit.var):
-                    raise ValueError(f"value {lit.value} outside domain of variable {lit.var}")
+            for v, e in clause:
+                if v not in sizes:
+                    raise ValueError(f"variable {v} not declared")
+                if not 0 <= e < sizes[v]:
+                    raise ValueError(f"value {e} outside domain of variable {v}")
             acc[clause] = acc.get(clause, 0) + mult
         self._clauses = {c: acc[c] for c in sorted(acc, key=Clause.sort_key)}
+        self._ordered = True
+
+    def _canonical(self) -> Dict[Clause, int]:
+        if not self._ordered:
+            clauses = self._clauses
+            self._clauses = {c: clauses[c] for c in sorted(clauses, key=Clause.sort_key)}
+            self._ordered = True
+        return self._clauses
 
     # -- accessors ---------------------------------------------------------
 
     def items(self) -> Tuple[Tuple[Clause, int], ...]:
-        return tuple(self._clauses.items())
+        return tuple(self._canonical().items())
 
     def clauses(self) -> Tuple[Clause, ...]:
-        return tuple(self._clauses)
+        return tuple(self._canonical())
 
     def multiplicity(self, clause: Clause) -> int:
         return self._clauses.get(clause, 0)
@@ -197,12 +231,12 @@ class MultiClauseSet:
         """This multi-clause-set with every multiplicity 1; self when already so."""
         if all(m == 1 for m in self._clauses.values()):
             return self
-        return MultiClauseSet(self.table, dict.fromkeys(self._clauses, 1))
+        return MultiClauseSet(self.table, _Trusted.fromkeys(self._clauses, 1))
 
     # -- measures ----------------------------------------------------------
 
     def var_set(self) -> frozenset:
-        return frozenset(lit.var for c in self._clauses for lit in c)
+        return frozenset(v for c in self._clauses for v in c._by_var)
 
     @property
     def c(self) -> int:
@@ -229,16 +263,27 @@ class MultiClauseSet:
         return sum(m for c, m in self._clauses.items() if lit in c)
 
     def var_count(self, v: int) -> int:
-        return sum(m for c, m in self._clauses.items() if c.has_var(v))
+        return sum(m for c, m in self._clauses.items() if v in c._by_var)
+
+    def value_counts(self, v: int) -> list:
+        """``count((v, e))`` for every value e of v, from one pass."""
+        counts = [0] * self.table.domain_size(v)
+        for c, m in self._clauses.items():
+            e = c._by_var.get(v)
+            if e is not None:
+                counts[e] += m
+        return counts
 
     def slack(self, lit: Tuple[int, int]) -> int:
         return self.var_count(lit[0]) - self.count(lit)
 
     def min_slack(self, v: int) -> int:
-        return min(self.slack((v, e)) for e in self.table.domain(v))
+        counts = self.value_counts(v)
+        total = sum(counts)
+        return min(total - k for k in counts)
 
     def values_of(self, v: int) -> frozenset:
-        return frozenset(c.value_on(v) for c in self._clauses if c.has_var(v))
+        return frozenset(c._by_var[v] for c in self._clauses if v in c._by_var)
 
     # -- algebra -----------------------------------------------------------
 
@@ -260,7 +305,7 @@ class MultiClauseSet:
 
     def __repr__(self) -> str:
         body = " + ".join((f"{m}*{c!r}" if m != 1 else repr(c))
-                          for c, m in self._clauses.items())
+                          for c, m in self._canonical().items())
         return f"MultiClauseSet[{body or 'T'}]"
 
 
@@ -337,32 +382,39 @@ def compose(outer: PartialAssignment, inner: PartialAssignment) -> PartialAssign
 
 def apply(phi: PartialAssignment, F: MultiClauseSet) -> MultiClauseSet:
     """Restrict F by phi: drop satisfied clauses, delete falsified literals."""
-    for v, e in phi.items():
-        if v in F.table and not 0 <= e < F.table.domain_size(v):
+    sizes = F.table._sizes
+    bound = dict(phi.items())
+    for v, e in bound.items():
+        if v in sizes and not 0 <= e < sizes[v]:
             raise ValueError(f"value {e} outside domain of variable {v}")
-    acc: Dict[Clause, int] = {}
-    for clause, mult in F.items():
-        if phi.satisfies_clause(clause):
-            continue
-        reduced = clause.without_vars(phi.keys())
-        acc[reduced] = acc.get(reduced, 0) + mult
-    return F.with_clauses(acc)
+    keys = bound.keys()
+    acc = _Trusted()
+    for clause, mult in F._clauses.items():
+        by_var = clause._by_var
+        if not keys.isdisjoint(by_var):
+            if any(bound[v] != e for v, e in by_var.items() if v in bound):
+                continue
+            clause = _clause({v: e for v, e in by_var.items() if v not in bound})
+        acc[clause] = acc.get(clause, 0) + mult
+    return MultiClauseSet(F.table, acc)
 
 
 def cross_out(V, F: MultiClauseSet) -> MultiClauseSet:
     """Remove every literal whose variable lies in V; clause count is kept."""
     V = frozenset(V)
-    acc: Dict[Clause, int] = {}
-    for clause, mult in F.items():
-        reduced = clause.without_vars(V)
-        acc[reduced] = acc.get(reduced, 0) + mult
-    return F.with_clauses(acc)
+    acc = _Trusted()
+    for clause, mult in F._clauses.items():
+        if not V.isdisjoint(clause._by_var):
+            clause = clause.without_vars(V)
+        acc[clause] = acc.get(clause, 0) + mult
+    return MultiClauseSet(F.table, acc)
 
 
 def touched(F: MultiClauseSet, V) -> MultiClauseSet:
     """The sub-multi-clause-set of clauses containing a variable from V."""
     V = frozenset(V)
-    return F.with_clauses({c: m for c, m in F.items() if c.variables & V})
+    return MultiClauseSet(F.table, _Trusted(
+        (c, m) for c, m in F._clauses.items() if not V.isdisjoint(c._by_var)))
 
 
 def restrict(F: MultiClauseSet, V) -> MultiClauseSet:

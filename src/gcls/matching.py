@@ -26,7 +26,6 @@ answer is read off that matching:
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, NamedTuple, Optional
 
 from gcls.core import (
@@ -167,15 +166,12 @@ class IncidenceGraph:
 
 class MaxDeficiency(NamedTuple):
     value: int
-    largest_part: MultiClauseSet  # a largest matching-satisfiable sub-multi-clause-set
 
 
 def max_deficiency(F: MultiClauseSet) -> MaxDeficiency:
     """Maximal deficiency over all sub-multi-clause-sets, via maximum matching."""
     graph = IncidenceGraph(F)
-    counts = Counter(graph.owner[o] for o, v in enumerate(graph.mate) if v is not None)
-    part = F.with_clauses({graph.clauses[idx]: k for idx, k in counts.items()})
-    return MaxDeficiency(len(graph.adj) - graph.size, part)
+    return MaxDeficiency(len(graph.adj) - graph.size)
 
 
 def is_matching_satisfiable(F: MultiClauseSet) -> bool:

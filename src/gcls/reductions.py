@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -24,6 +25,8 @@ from .core import (
     MultiClauseSet,
     PartialAssignment,
     VariableTable,
+    _clause,
+    _Trusted,
     apply,
     assign,
     compose,
@@ -168,10 +171,13 @@ def unit_clause_propagation(F: MultiClauseSet) -> Tuple[MultiClauseSet, tuple]:
 
 
 def _first_pure(F: MultiClauseSet) -> Optional[Tuple[int, int]]:
-    for v in sorted(F.var_set()):
-        used = F.values_of(v)
+    used: Dict[int, set] = {}
+    for clause in F._clauses:
+        for v, e in clause._by_var.items():
+            used.setdefault(v, set()).add(e)
+    for v in sorted(used):
         for e in F.table.domain(v):
-            if e not in used:
+            if e not in used[v]:
                 return v, e
     return None
 
@@ -221,7 +227,7 @@ def resolvents(v: int, parents: Sequence[Clause],
         for lit in clause:
             if lit.var != v and merged.setdefault(lit.var, lit.value) != lit.value:
                 return None
-    return Clause(merged.items())
+    return _clause(merged)
 
 
 def _dp(F: MultiClauseSet, v: int) -> MultiClauseSet:
@@ -230,14 +236,19 @@ def _dp(F: MultiClauseSet, v: int) -> MultiClauseSet:
     Clauses without v keep their multiplicities; each resolvent is added
     once unless already present.  Clauses on v count once each.
     """
-    kept = {c: m for c, m in F.items() if not c.has_var(v)}
-    buckets = [[c for c in F.clauses() if c.has_var(v) and c.value_on(v) == e]
-               for e in F.table.domain(v)]
+    kept = _Trusted()
+    buckets: List[List[Clause]] = [[] for _ in F.table.domain(v)]
+    for clause, mult in F._clauses.items():
+        e = clause._by_var.get(v)
+        if e is None:
+            kept[clause] = mult
+        else:
+            buckets[e].append(clause)
     for combo in itertools.product(*buckets):
         R = resolvents(v, combo, F.table)
         if R is not None:
             kept.setdefault(R, 1)
-    return F.with_clauses(kept)
+    return MultiClauseSet(F.table, kept)
 
 
 def dp_resolve(F: MultiClauseSet, v: int) -> MultiClauseSet:
@@ -250,17 +261,17 @@ def dp_resolve(F: MultiClauseSet, v: int) -> MultiClauseSet:
 
 def _elimination_bound(G: MultiClauseSet, v: int) -> int:
     """c(G) - sum of per-value occurrence counts + their product."""
-    counts = [G.count((v, e)) for e in G.table.domain(v)]
+    counts = G.value_counts(v)
     return G.c - sum(counts) + math.prod(counts)
 
 
 def is_singular(F: MultiClauseSet, v: int) -> bool:
     """All values of v but at most one occur exactly once, none is unused."""
-    counts = [F.count((v, e)) for e in F.table.domain(v)]
-    if 0 in counts:
-        return False
-    return any(all(count == 1 for j, count in enumerate(counts) if j != i)
-               for i in range(len(counts)))
+    return _singular_counts(F.value_counts(v))
+
+
+def _singular_counts(counts: Sequence[int]) -> bool:
+    return 0 not in counts and sum(count != 1 for count in counts) <= 1
 
 
 def singular_dp(F: MultiClauseSet, v: int) -> Tuple[MultiClauseSet, bool]:
@@ -295,66 +306,195 @@ def is_blocked(clause: Clause, F: MultiClauseSet, v: int) -> bool:
 # -- the composite reduction loops ---------------------------------------------
 
 
-def _drop_one_copy(F: MultiClauseSet, clause: Clause) -> MultiClauseSet:
-    items = dict(F.items())
-    items[clause] -= 1
-    return F.with_clauses(items)
+class _ReductionState:
+    """The clauses of one r-reduction run and their literal index.
 
-
-def _redundant_clause_on(F: MultiClauseSet, v: int) -> Optional[Clause]:
-    """A clause copy on singular v whose removal keeps the resolvents intact.
-
-    Removal of such a copy is satisfiability-equivalent because eliminating v
-    afterwards still yields the same instance.  One exists exactly when the
-    elimination of v would be degenerate (or some copy is simply duplicated).
+    ``mult`` maps each clause to its multiplicity and ``occ`` maps each
+    occurring variable v to one dict per value e, holding the clauses with
+    the literal (v, e) and their multiplicities.  Every step updates both in
+    place and marks dirty the variables whose rule verdicts it may change;
+    ``retest_dirty`` recomputes those verdicts from the index.
     """
-    base = _dp(F, v)
-    for clause, mult in F.items():
-        if not clause.has_var(v):
-            continue
-        if mult >= 2:
-            return clause
-        if _dp(_drop_one_copy(F, clause), v) == base:
-            return clause
-    return None
 
+    def __init__(self, F: MultiClauseSet):
+        self.table = F.table
+        self.sizes = F.table._sizes
+        self.mult: Dict[Clause, int] = {}
+        self.occ: Dict[int, List[Dict[Clause, int]]] = {}
+        self.pure: set = set()
+        self.singular: set = set()
+        self.redundant: Dict[int, Clause] = {}
+        self.dirty: set = set()
+        self.current: Optional[MultiClauseSet] = F
+        for clause, m in F._clauses.items():
+            self._set(clause, m)
+        self.dirty.update(self.occ)
 
-def _r_reduce_logged(F: MultiClauseSet) -> Tuple[MultiClauseSet, List]:
-    steps: List = []
-    while True:
-        hit = None
-        for v in sorted(F.var_set()):
-            if is_singular(F, v):
-                clause = _redundant_clause_on(F, v)
+    def instance(self) -> MultiClauseSet:
+        if self.current is None:
+            self.current = MultiClauseSet(self.table, _Trusted(self.mult))
+        return self.current
+
+    def _set(self, clause: Clause, m: int) -> None:
+        if m:
+            self.mult[clause] = m
+        else:
+            del self.mult[clause]
+        for v, e in clause._by_var.items():
+            slots = self.occ.get(v)
+            if slots is None:
+                slots = self.occ[v] = [{} for _ in range(self.sizes[v])]
+            if m:
+                slots[e][clause] = m
+            else:
+                del slots[e][clause]
+                if not any(slots):
+                    del self.occ[v]
+
+    def change(self, multiplicities: Dict[Clause, int]) -> None:
+        """Give clauses new multiplicities and mark the dirty variables.
+
+        The verdicts on v read only the clauses on v and whether each
+        resolvent on v is a clause.  Such a resolvent holds only neighbours
+        of v, so a changed clause can affect v only when v or a neighbour of
+        v occurs in it -- or when it is the empty clause.
+        """
+        touched = set()
+        for clause, m in multiplicities.items():
+            self._set(clause, m)
+            if not clause:
+                touched.update(self.occ)
+            touched.update(clause._by_var)
+        self.current = None
+        self.dirty |= touched
+        for v in touched:
+            for slot in self.occ.get(v, ()):
+                for clause in slot:
+                    self.dirty.update(clause._by_var)
+
+    def remove_touched(self, phi: PartialAssignment) -> None:
+        """Apply an autarky: it satisfies, and so removes, every clause it touches."""
+        self.change({clause: 0 for v in phi for slot in self.occ.get(v, ())
+                     for clause in slot})
+
+    def retest_dirty(self) -> None:
+        for v in self.dirty:
+            self.pure.discard(v)
+            self.singular.discard(v)
+            self.redundant.pop(v, None)
+            slots = self.occ.get(v)
+            if slots is None:
+                continue
+            counts = [sum(slot.values()) for slot in slots]
+            if 0 in counts:
+                self.pure.add(v)
+            elif _singular_counts(counts):
+                self.singular.add(v)
+                clause = self._redundant_clause_on(v, slots)
                 if clause is not None:
-                    hit = (v, clause)
-                    break
-        if hit is not None:
-            v, clause = hit
-            steps.append(VariableEliminationStep(F, v))
-            F = _drop_one_copy(F, clause)
-            continue
-        pure = _first_pure(F)
-        if pure is not None:
-            phi = assign(pure)
-            steps.append(AutarkyStep(phi))
-            F = apply(phi, F)
-            continue
-        phi = quasi_maximal_matching_autarky(F)
-        if phi:  # empty iff F is matching lean
-            steps.append(AutarkyStep(phi))
-            F = apply(phi, F)
-            continue
-        v = next((w for w in sorted(F.var_set()) if is_singular(F, w)), None)
-        if v is None:
-            return F, steps
+                    self.redundant[v] = clause
+        self.dirty.clear()
+
+    def _redundant_clause_on(self, v: int, slots) -> Optional[Clause]:
+        """The first clause on singular v, in canonical order, one copy of
+        which can go without changing the result of eliminating v.
+
+        That is a clause with multiplicity >= 2; the only clause of its
+        value when every resolvent clashes or is a clause already; or one of
+        several clauses of the main value whose one resolvent clashes, is a
+        clause already, or is also the resolvent of another combination.
+        """
+        found = {main: None if R is None else frozenset(R.items())
+                 for main, R in _singular_combinations(v, slots)}
+        twice = Counter(R for R in found.values() if R is not None)
+        all_kept = all(R is None or R in self.mult for R in found.values())
+        for clause in sorted((c for slot in slots for c in slot), key=Clause.sort_key):
+            if self.mult[clause] >= 2:
+                return clause
+            if len(slots[clause._by_var[v]]) == 1:
+                if all_kept:
+                    return clause
+            else:
+                R = found[clause]
+                if R is None or R in self.mult or twice[R] >= 2:
+                    return clause
+        return None
+
+    def eliminate(self, v: int) -> None:
+        """Non-degenerate singular DP on v: its resolvents replace its clauses."""
+        slots = self.occ[v]
+        update = {c: 0 for slot in slots for c in slot}
+        fresh = {_clause(R): 1 for _, R in _singular_combinations(v, slots)
+                 if R is not None}
         # no clause copy on v is redundant, so every clause on v has
         # multiplicity one and all resolvents are defined, pairwise distinct
         # and fresh: the clause count drops by exactly |D_v| - 1
-        steps.append(VariableEliminationStep(F, v))
-        G = _dp(F, v)
-        assert G.c == F.c - (F.table.domain_size(v) - 1)
-        F = G
+        assert len(fresh.keys() - self.mult.keys()) == len(update) - (self.sizes[v] - 1)
+        update.update(fresh)
+        self.change(update)
+
+
+def _with_side_literals(merged: Optional[Dict[int, int]], clause: Clause,
+                        v: int) -> Optional[Dict[int, int]]:
+    """merged plus the literals of clause other than v; None on a clash."""
+    if merged is None:
+        return None
+    for w, e in clause._by_var.items():
+        if w != v and merged.setdefault(w, e) != e:
+            return None
+    return merged
+
+
+def _singular_combinations(v: int, slots):
+    """(main clause, resolvent map or None) per parent combination on a
+    singular v: one combination per clause of the value with several
+    clauses, or one with main clause None when every value has one."""
+    side: Optional[Dict[int, int]] = {}
+    mains: Sequence = (None,)
+    for slot in slots:
+        if len(slot) > 1:
+            mains = tuple(slot)
+        else:
+            side = _with_side_literals(side, next(iter(slot)), v)
+    if mains[0] is None:
+        return [(None, side)]
+    return [(main, None if side is None else _with_side_literals(dict(side), main, v))
+            for main in mains]
+
+
+def _r_reduce_logged(F: MultiClauseSet) -> Tuple[MultiClauseSet, List]:
+    state = _ReductionState(F)
+    steps: List = []
+    lean = False  # whether the last matching-autarky test found F lean
+    while True:
+        state.retest_dirty()
+        if state.redundant:
+            v = min(state.redundant)
+            steps.append(VariableEliminationStep(state.instance(), v))
+            clause = state.redundant[v]
+            state.change({clause: state.mult[clause] - 1})
+            lean = False
+            continue
+        if state.pure:
+            v = min(state.pure)
+            e = next(e for e, slot in enumerate(state.occ[v]) if not slot)
+            phi = assign((v, e))
+        elif lean:
+            # a non-degenerate singular DP keeps F matching lean
+            phi = None
+        else:
+            phi = quasi_maximal_matching_autarky(state.instance())
+        if phi:  # empty iff F is matching lean
+            steps.append(AutarkyStep(phi))
+            state.remove_touched(phi)
+            lean = False
+            continue
+        lean = True
+        if not state.singular:
+            return state.instance(), steps
+        v = min(state.singular)
+        steps.append(VariableEliminationStep(state.instance(), v))
+        state.eliminate(v)
 
 
 def r_reduction(F: MultiClauseSet) -> MultiClauseSet:

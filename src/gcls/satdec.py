@@ -23,6 +23,7 @@ from .core import (
     assign,
     clause_to_assignment,
     compose,
+    measures,
 )
 from .matching import (
     matching_satisfying_assignment,
@@ -165,7 +166,9 @@ def _branch_and_reduce(
         return True, lift_through_steps(steps, psi), 1
     if BOT in G:
         return False, None, 1
-    v = min(G.var_set(), key=lambda w: (G.min_slack(w), w))
+    slack = measures(G).slack_counts
+    v = min(G.var_set(),
+            key=lambda w: (min(slack[w, e] for e in G.table.domain(w)), w))
     leaves = 0
     for e in G.table.domain(v):
         phi = assign((v, e))

@@ -336,3 +336,100 @@ class TestMultiplicities:
         small = MultiClauseSet(VariableTable({1: 2}), [Clause([(1, 0)])])
         big = MultiClauseSet(VariableTable({1: 2, 7: 4}), [Clause([(1, 0)])])
         assert small == big
+
+
+class TestClauseVariableMap:
+    """has_var, value_on, variables and without_vars read the variable map
+    the constructor keeps; they agree with a scan over the literals."""
+
+    def test_against_literal_scan(self):
+        rng = random.Random(811)
+        for _ in range(500):
+            lits = {v: rng.randrange(4) for v in rng.sample(range(1, 9), rng.randint(0, 6))}
+            pairs = list(lits.items()) * rng.randint(1, 2)
+            rng.shuffle(pairs)
+            clause = Clause(pairs)
+            assert clause == frozenset(Literal(v, e) for v, e in lits.items())
+            assert clause.variables == frozenset(lit.var for lit in clause)
+            for v in range(0, 10):
+                assert clause.has_var(v) == any(lit.var == v for lit in clause)
+                scanned = [lit.value for lit in clause if lit.var == v]
+                if scanned:
+                    assert clause.value_on(v) == scanned[0]
+                else:
+                    with pytest.raises(KeyError):
+                        clause.value_on(v)
+            drop = set(rng.sample(range(1, 9), rng.randint(0, 4)))
+            rest = clause.without_vars(drop)
+            assert isinstance(rest, Clause)
+            assert rest == frozenset(lit for lit in clause if lit.var not in drop)
+            assert rest.variables == clause.variables - drop
+            assert all(isinstance(lit, Literal) for lit in rest)
+
+    def test_clashes_still_raise(self):
+        rng = random.Random(812)
+        for _ in range(200):
+            v = rng.randint(1, 5)
+            pairs = [(w, rng.randrange(3)) for w in range(1, 6) if rng.random() < 0.5]
+            pairs += [(v, 0), (v, 1)]
+            rng.shuffle(pairs)
+            with pytest.raises(ValueError, match="clashing"):
+                Clause(pairs)
+
+
+class TestDerivedResults:
+    """Results derived without re-validation equal the validated
+    construction of the same clauses, in the same canonical order."""
+
+    @staticmethod
+    def assert_validated_equal(G):
+        validated = MultiClauseSet(G.table, dict(G.items()))
+        assert G == validated
+        assert G.items() == validated.items()
+        assert repr(G) == repr(validated)
+        assert all(m > 0 for _, m in G.items())
+
+    def test_operations_on_random_instances(self):
+        from gcls.reductions import _dp
+
+        rng = random.Random(813)
+        for _ in range(300):
+            F = oracles.random_instance(rng, max_n=5, max_c=10)
+            variables = sorted(F.var_set())
+            V = rng.sample(variables, rng.randint(0, len(variables)))
+            phi = PartialAssignment({v: rng.randrange(F.table.domain_size(v))
+                                     for v in V})
+            for G in (apply(phi, F), cross_out(V, F), touched(F, V),
+                      restrict(F, V), F.dedup()):
+                self.assert_validated_equal(G)
+            for v in variables:
+                self.assert_validated_equal(_dp(F, v))
+
+    def test_reduction_instances_and_dropping_a_last_copy(self):
+        from gcls.reductions import VariableEliminationStep, r_reduction_with_log
+
+        rng = random.Random(814)
+        dropped_last_copy = 0
+        for _ in range(300):
+            F = oracles.random_instance(rng, max_n=5, max_c=10)
+            G, steps = r_reduction_with_log(F)
+            self.assert_validated_equal(G)
+            before = [s.before for s in steps if isinstance(s, VariableEliminationStep)]
+            for H in before:
+                self.assert_validated_equal(H)
+            for H, K in zip(before, before[1:]):
+                gone = [c for c, m in H.items() if m == 1 and c not in K]
+                if K.c == H.c - 1 and len(gone) == 1 and all(c in H for c in K.clauses()):
+                    dropped_last_copy += 1
+        assert dropped_last_copy >= 10
+
+    def test_public_constructors_still_validate(self):
+        F = MultiClauseSet(BOOL3, [C1])
+        for bad, message in (([(4, 0)], "not declared"), ([(1, 2)], "outside domain"),
+                             ([(2, 0), (3, 5)], "outside domain")):
+            with pytest.raises(ValueError, match=message):
+                MultiClauseSet(BOOL3, [Clause(bad)])
+            with pytest.raises(ValueError, match=message):
+                F.with_clauses({Clause(bad): 1})
+            with pytest.raises(ValueError, match=message):
+                F.with_clauses([bad])

@@ -238,8 +238,17 @@ class TestMaxDeficiency:
         rng = random.Random(403)
         for _ in range(50):
             F = oracles.random_instance(rng, max_c=7)
-            value, part = max_deficiency(F)
+            value = max_deficiency(F).value
             assert value == oracles.brute_max_deficiency(F)
+            # the matched clause occurrences form a largest
+            # matching-satisfiable sub-multi-clause-set
+            graph = IncidenceGraph(F)
+            matched = {}
+            for occ, var in enumerate(graph.mate):
+                if var is not None:
+                    clause = graph.clauses[graph.owner[occ]]
+                    matched[clause] = matched.get(clause, 0) + 1
+            part = F.with_clauses(matched)
             assert part.c == F.c - value
             assert all(part.multiplicity(c) <= F.multiplicity(c)
                        for c in part.clauses())

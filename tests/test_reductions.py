@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,9 +12,18 @@ from gcls.core import (
     VariableTable,
     apply,
     assign,
+    restrict,
     top,
 )
-from gcls.matching import is_matching_lean, max_deficiency, surplus
+from gcls.matching import (
+    is_matching_lean,
+    max_deficiency,
+    quasi_maximal_matching_autarky,
+    surplus,
+)
+from gcls.musat import tree_to_clause_set
+from gcls.satdec import sat_bounded_deficiency
+from gcls.translate import direct_weak
 from gcls.reductions import (
     AutarkyStep,
     DomainShrinkStep,
@@ -38,6 +48,7 @@ from gcls.reductions import (
 
 import oracles
 from test_core import mixed_example
+from test_musat import horn_chain, random_tree
 
 
 def ternary_units():
@@ -425,3 +436,168 @@ class TestSReduction:
                     after = max_deficiency(apply(assign((v, e)), G)).value
                     assert after <= G.delta - 1
         assert seen >= 10
+
+
+# -- the reduction loops against the rescanning reference ----------------------
+
+
+def reference_dp(F, v):
+    kept = {c: m for c, m in F.items() if not c.has_var(v)}
+    buckets = [[c for c in F.clauses() if c.has_var(v) and c.value_on(v) == e]
+               for e in F.table.domain(v)]
+    for combo in itertools.product(*buckets):
+        R = resolvents(v, combo, F.table)
+        if R is not None:
+            kept.setdefault(R, 1)
+    return F.with_clauses(kept)
+
+
+def reference_is_singular(F, v):
+    counts = [F.count((v, e)) for e in F.table.domain(v)]
+    if 0 in counts:
+        return False
+    return any(all(count == 1 for j, count in enumerate(counts) if j != i)
+               for i in range(len(counts)))
+
+
+def reference_first_pure(F):
+    for v in sorted(F.var_set()):
+        used = F.values_of(v)
+        for e in F.table.domain(v):
+            if e not in used:
+                return v, e
+    return None
+
+
+def reference_drop_one_copy(F, clause):
+    items = dict(F.items())
+    items[clause] -= 1
+    return F.with_clauses(items)
+
+
+def reference_redundant_clause_on(F, v):
+    base = reference_dp(F, v)
+    for clause, mult in F.items():
+        if not clause.has_var(v):
+            continue
+        if mult >= 2:
+            return clause
+        if reference_dp(reference_drop_one_copy(F, clause), v) == base:
+            return clause
+    return None
+
+
+def reference_r_reduce(F):
+    """The rescanning r-reduction loop: every rule re-tested on every
+    variable after every step, redundancy by one elimination per clause."""
+    steps = []
+    while True:
+        hit = None
+        for v in sorted(F.var_set()):
+            if reference_is_singular(F, v):
+                clause = reference_redundant_clause_on(F, v)
+                if clause is not None:
+                    hit = (v, clause)
+                    break
+        if hit is not None:
+            v, clause = hit
+            steps.append(VariableEliminationStep(F, v))
+            F = reference_drop_one_copy(F, clause)
+            continue
+        pure = reference_first_pure(F)
+        if pure is not None:
+            phi = assign(pure)
+            steps.append(AutarkyStep(phi))
+            F = apply(phi, F)
+            continue
+        phi = quasi_maximal_matching_autarky(F)
+        if phi:
+            steps.append(AutarkyStep(phi))
+            F = apply(phi, F)
+            continue
+        v = next((w for w in sorted(F.var_set()) if reference_is_singular(F, w)), None)
+        if v is None:
+            return F, steps
+        steps.append(VariableEliminationStep(F, v))
+        G = reference_dp(F, v)
+        assert G.c == F.c - (F.table.domain_size(v) - 1)
+        F = G
+
+
+def reference_s_reduce(F, first_round):
+    """The s-reduction loop over reference_r_reduce, whose first round on F
+    is given."""
+    steps = []
+    F, sub = first_round
+    while True:
+        steps.extend(sub)
+        if not F.var_set():
+            return F, steps
+        found = surplus(F, at_most=2)
+        if found.value >= 2:
+            return F, steps
+        sigma = sat_bounded_deficiency(restrict(F, found.witness)).witness
+        steps.append(AutarkyStep(sigma))
+        F, sub = reference_r_reduce(apply(sigma, F))
+
+
+def step_record(step):
+    if isinstance(step, VariableEliminationStep):
+        return ("eliminate", step.var, step.before.items(),
+                step.before.table.sizes())
+    assert isinstance(step, AutarkyStep)
+    return ("autarky", step.assignment)
+
+
+def assert_same_reduction(got, want):
+    (G, steps), (H, ref_steps) = got, want
+    assert G == H and G.items() == H.items()
+    assert [step_record(s) for s in steps] == [step_record(s) for s in ref_steps]
+
+
+def drop_one_clause(F, rng):
+    clause = rng.choice(F.clauses())
+    return F.with_clauses({c: 1 for c in F.clauses() if c != clause})
+
+
+class TestReductionAgainstReference:
+    """The worklist r-reduction gives the same result and the same step list
+    (kind, variable, instance before the step, assignment) as the loop that
+    rescans every variable after every step."""
+
+    def samples(self):
+        rng = random.Random(9090)
+        for _ in range(1000):
+            F = oracles.random_instance(rng, max_n=5, max_dom=3, max_c=10,
+                                        multi=rng.random() < 0.7)
+            yield F
+            yield F.dedup()
+            yield direct_weak(F).boolean_cnf
+        for n in (1, 2, 3, 5, 9, 16):
+            yield horn_chain(n)
+        for _ in range(40):
+            image = tree_to_clause_set(random_tree(rng, 9))
+            yield image
+            if image.c > 1:
+                yield drop_one_clause(image, rng)
+
+    def test_r_and_s_reduction_logs(self):
+        count = 0
+        for F in self.samples():
+            count += 1
+            want = reference_r_reduce(F)
+            G, steps = r_reduction_with_log(F)
+            assert_same_reduction((G, list(steps)), want)
+            G, steps = s_reduction_with_log(F)
+            assert_same_reduction((G, list(steps)), reference_s_reduce(F, want))
+        assert count >= 3000
+
+    def test_redundant_copy_of_a_duplicated_clause(self):
+        # {1:0} twice and {1:1}: dropping a copy of the doubled unit keeps the
+        # resolvent BOT, so the first step drops it, then BOT is derived
+        F = MultiClauseSet(VariableTable({1: 2}),
+                           [Clause([(1, 0)]), Clause([(1, 0)]), Clause([(1, 1)])])
+        G, steps = r_reduction_with_log(F)
+        assert [step_record(s) for s in steps] == [
+            step_record(s) for s in reference_r_reduce(F)[1]]
+        assert G.clauses() == (BOT,)
