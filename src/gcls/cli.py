@@ -26,14 +26,9 @@ import re
 import sys
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .core import Clause, Literal, MultiClauseSet, PartialAssignment, VariableTable
+from .core import MultiClauseSet, PartialAssignment, VariableTable, _clause, _Trusted
 from .encode import hypergraph_coloring, parse_hypergraph, vdw_instance
-from .matching import (
-    is_matching_lean,
-    matching_lean_kernel,
-    max_deficiency,
-    surplus,
-)
+from .matching import IncidenceGraph, matching_lean_kernel, surplus
 from .musat import _classify_member, format_tree, recognize_mu1
 from .satdec import (
     BruteForceCapExceeded,
@@ -139,7 +134,7 @@ def parse_gcls(text: str) -> MultiClauseSet:
         _fail(len(lines) + 1, 1, "missing 'p gcls' header")
     header_line, nvars, nclauses = header
 
-    multiplicities: Dict[Clause, int] = {}
+    multiplicities = _Trusted()  # every literal is checked as it is read
     count = 0
     current: Dict[int, int] = {}
     last = (header_line, 1)
@@ -150,7 +145,7 @@ def parse_gcls(text: str) -> MultiClauseSet:
         for column, token in tokens:
             last = (ln, column)
             if token == "0":
-                clause = Clause(Literal(v, e) for v, e in current.items())
+                clause = _clause(current)
                 multiplicities[clause] = multiplicities.get(clause, 0) + 1
                 count += 1
                 current = {}
@@ -255,7 +250,7 @@ def parse_dimacs(text: str) -> DimacsFile:
         _fail(len(lines) + 1, 1, "missing 'p cnf' header")
     header_line, nvars, nclauses = header
 
-    multiplicities: Dict[Clause, int] = {}
+    multiplicities = _Trusted()  # every literal is checked as it is read
     count = 0
     current: Dict[int, int] = {}
     last = (header_line, 1)
@@ -266,7 +261,7 @@ def parse_dimacs(text: str) -> DimacsFile:
                 _fail(ln, column, f"bad token {token!r}: expected an integer")
             lit = int(token)
             if lit == 0:
-                clause = Clause(Literal(v, e) for v, e in current.items())
+                clause = _clause(current)
                 multiplicities[clause] = multiplicities.get(clause, 0) + 1
                 count += 1
                 current = {}
@@ -315,15 +310,16 @@ def _yesno(flag: bool) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     F = _load(args.file)
     hitting = classify_hitting(F)
+    graph = IncidenceGraph(F)  # one graph for delta-star and matching leanness
     lines = [
         f"n {F.n}",
         f"c {F.c}",
         f"ell {F.ell}",
         f"rd {F.rd}",
         f"delta {F.delta}",
-        f"delta-star {max_deficiency(F).value}",
+        f"delta-star {len(graph.adj) - graph.size}",
         f"surplus {surplus(F).value}",
-        f"matching-lean {_yesno(is_matching_lean(F))}",
+        f"matching-lean {_yesno(len(graph.lean) == len(graph.adj))}",
         f"hitting {_yesno(hitting.hitting)}",
         f"hitting-degree {hitting.hitting_degree or 0}",
         f"regular {'no' if hitting.regular is None else hitting.regular}",
@@ -354,9 +350,8 @@ _SCHEMES = {
 
 def _occurrence_order(F: MultiClauseSet) -> Dict[int, Tuple[int, ...]]:
     """Per variable, the domain ordered by descending occurrence count."""
-    return {v: tuple(sorted(F.table.domain(v),
-                            key=lambda e: (-F.count(Literal(v, e)), e)))
-            for v in F.var_set()}
+    return {v: tuple(sorted(range(len(counts)), key=lambda e: (-counts[e], e)))
+            for v, counts in F.value_count_table().items()}
 
 
 def cmd_translate(args: argparse.Namespace) -> int:

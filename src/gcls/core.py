@@ -274,6 +274,18 @@ class MultiClauseSet:
                 counts[e] += m
         return counts
 
+    def value_count_table(self) -> Dict[int, list]:
+        """``value_counts(v)`` for every occurring variable v, from one pass."""
+        sizes = self.table._sizes
+        by_var: Dict[int, list] = {}
+        for c, m in self._clauses.items():
+            for v, e in c._by_var.items():
+                counts = by_var.get(v)
+                if counts is None:
+                    counts = by_var[v] = [0] * sizes[v]
+                counts[e] += m
+        return by_var
+
     def slack(self, lit: Tuple[int, int]) -> int:
         return self.var_count(lit[0]) - self.count(lit)
 
@@ -441,16 +453,9 @@ def measures(F: MultiClauseSet) -> Measures:
     Per-literal counts cover every (variable, value) pair of occurring
     variables, including values that never occur (count 0, full slack).
     """
-    lit_counts: Dict[Literal, int] = {}
-    var_counts: Dict[int, int] = {}
-    for v in sorted(F.var_set()):
-        var_counts[v] = 0
-        for e in F.table.domain(v):
-            lit_counts[Literal(v, e)] = 0
-    for clause, mult in F.items():
-        for lit in clause:
-            lit_counts[lit] += mult
-            var_counts[lit.var] += mult
+    by_var = F.value_count_table()
+    lit_counts = {Literal(v, e): k for v in sorted(by_var) for e, k in enumerate(by_var[v])}
+    var_counts = {v: sum(by_var[v]) for v in sorted(by_var)}
     slacks = {lit: var_counts[lit.var] - cnt for lit, cnt in lit_counts.items()}
     return Measures(n=F.n, c=F.c, ell=F.ell, rd=F.rd, delta=F.delta,
                     literal_counts=lit_counts, variable_counts=var_counts,

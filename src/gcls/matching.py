@@ -295,7 +295,7 @@ def tovey_check(F: MultiClauseSet) -> bool:
     """
     if not any(len(c) for c in F.clauses()):
         raise ValueError("needs a non-empty clause")
-    max_occ = max(F.var_count(v) for v in F.var_set())
+    max_occ = max(map(sum, F.value_count_table().values()))
     min_len = min(len(c) for c in F.clauses())
     min_dom = min(F.table.domain_size(v) for v in F.var_set())
     return max_occ <= (min_dom - 1) * min_len

@@ -18,8 +18,9 @@ have a complete structure theory, and this module implements it:
   a variable all of whose values occur exactly once, so the reduction
   never stalls on genuine members.  The pass always eliminates the
   cheapest singular variable (fewest occurrences, ties by index), kept in
-  a lazy heap over a literal-to-clauses index, so each step costs about
-  the size of the clauses on the eliminated variable.
+  a lazy heap.  It runs on the r-reduction's literal index and its one
+  singular-DP step (``reductions._ReductionState.singular_step``), so each
+  step costs about the size of the clauses on the eliminated variable.
 
 * ``classify_mu1`` -- splits the class into its two extremes and the rest:
   the saturated members (no literal can be added to any clause without
@@ -51,7 +52,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .core import (
     BOT,
@@ -60,9 +61,11 @@ from .core import (
     MultiClauseSet,
     PartialAssignment,
     VariableTable,
+    _clause,
+    _Trusted,
     apply,
 )
-from .reductions import resolvents
+from .reductions import _ReductionState, _singular_counts
 from .satdec import decide, is_irredundant, is_minimally_unsatisfiable
 
 __all__ = [
@@ -192,17 +195,17 @@ def tree_to_clause_set(tree: DeficiencyOneTree) -> MultiClauseSet:
     """
     _check_labels(tree)
     sizes = {}
-    clauses = []
-    stack = [(tree, ())]
+    clauses = _Trusted()  # distinct labels: the paths are distinct clauses
+    stack = [(tree, {})]
     while stack:
         node, path = stack.pop()
         if node.is_leaf:
-            clauses.append(Clause(path))
+            clauses[_clause(path)] = 1
             continue
         sizes[node.var] = len(node.children)
-        stack.extend((child, path + ((node.var, value),))
+        stack.extend((child, {**path, node.var: value})
                      for value, child in enumerate(node.children))
-    return MultiClauseSet(VariableTable(sizes), {c: 1 for c in clauses})
+    return MultiClauseSet(VariableTable(sizes), clauses)
 
 
 class Mu1Verdict(NamedTuple):
@@ -229,61 +232,46 @@ def recognize_mu1(F: MultiClauseSet) -> Mu1Verdict:
     step, or running out of singular variables early, refutes membership
     conclusively.
 
-    A step is degenerate iff it yields fewer new distinct resolvents than
-    the product of the per-value counts: a resolvent clashed away,
-    coincided with a sibling, or was present already.  The clauses live in
-    a literal-to-clauses index and the candidates in a lazy heap keyed by
-    (occurrences, variable), to which a variable returns whenever its
-    counts change.  So a step costs about the size of the clauses on the
-    eliminated variable, not a scan of the whole clause-set.
+    The clauses live in the literal index of the r-reduction
+    (``reductions._ReductionState``), and each step is its
+    ``singular_step``, which is degenerate when a resolvent clashes, is
+    already a clause, or repeats.  The candidates sit in a lazy heap keyed
+    by (occurrences, variable), to which a variable returns whenever its
+    counts change.  Updates go clause by clause through ``_set``, without
+    the neighbour marking of ``change``: the root of a chain image occurs in
+    every clause, so marking would cost the whole image per step.  So a step
+    costs about the size of the clauses on the eliminated variable, not a
+    scan of the whole clause-set.
     """
     if any(mult > 1 for _, mult in F.items()):
         return Mu1Verdict("not_mu1", (), "a repeated clause is redundant")
-    table = F.table
-    clauses: Set[Clause] = set(F.clauses())
-    index: Dict[Literal, Set[Clause]] = {}
-    for clause in clauses:
-        for lit in clause:
-            index.setdefault(lit, set()).add(clause)
-    occurrences = dict(Counter(lit.var for clause in clauses for lit in clause))
-    heap = [(count, v) for v, count in occurrences.items()]
+    state = _ReductionState(F)
+    occ = state.occ
+    heap = [(sum(map(len, slots)), v) for v, slots in occ.items()]
     heapq.heapify(heap)
     steps = []
-    while clauses != {BOT}:
+    while state.mult.keys() != {BOT}:
         if not heap:
             return Mu1Verdict("not_mu1", tuple(steps),
                               "no singular variable left")
         count, v = heapq.heappop(heap)
-        if count != occurrences[v]:
+        slots = occ.get(v)
+        if slots is None or count != sum(map(len, slots)):
             continue  # stale entry; v was pushed again with its new count
-        buckets = [list(index.get(Literal(v, e), ())) for e in table.domain(v)]
-        sizes = [len(bucket) for bucket in buckets]
-        if 0 in sizes or sum(size > 1 for size in sizes) > 1:
+        if not _singular_counts([len(slot) for slot in slots]):
             continue  # not singular; comes back once its counts change
         steps.append(v)
-        added: Set[Clause] = set()
-        for parents in itertools.product(*buckets):
-            R = resolvents(v, parents, table)
-            if R is None or R in clauses or R in added:
-                return Mu1Verdict("not_mu1", tuple(steps),
-                                  f"degenerate elimination of variable {v}")
-            added.add(R)
-        for clause in itertools.chain.from_iterable(buckets):
-            clauses.remove(clause)
-            for lit in clause:
-                index[lit].remove(clause)
-                occurrences[lit.var] -= 1
-        # every literal of a resolvent comes from a parent, so it is indexed
-        # already, and every variable of a parent but v is in some resolvent
+        update = state.singular_step(v)
+        if update is None:
+            return Mu1Verdict("not_mu1", tuple(steps),
+                              f"degenerate elimination of variable {v}")
         touched = set()
-        for clause in added:
-            clauses.add(clause)
-            for lit in clause:
-                index[lit].add(clause)
-                occurrences[lit.var] += 1
-                touched.add(lit.var)
+        for clause, m in update.items():
+            state._set(clause, m)
+            if m:
+                touched.update(clause._by_var)
         for w in touched:
-            heapq.heappush(heap, (occurrences[w], w))
+            heapq.heappush(heap, (sum(map(len, occ[w])), w))
     return Mu1Verdict("mu1", tuple(steps))
 
 
@@ -368,9 +356,8 @@ def _classify_member(F: MultiClauseSet) -> Mu1Classification:
             return Mu1Classification("saturated", _tree_from_image(F))
         except ValueError as exc:
             return Mu1Classification("intermediate", None, str(exc))
-    counts = Counter(lit for clause in F.clauses() for lit in clause)
-    if all(counts[Literal(v, e)] == 1
-           for v in F.var_set() for e in F.table.domain(v)):
+    if all(count == 1 for counts in F.value_count_table().values()
+           for count in counts):
         return Mu1Classification("marginal", None)
     return Mu1Classification("intermediate", None)
 
@@ -489,11 +476,8 @@ def degree_measures(F: MultiClauseSet) -> DegreeMeasures:
     """Min-max value-degree and min variable-degree; needs n(F) > 0."""
     if F.n == 0:
         raise ValueError("degree measures need at least one occurring variable")
-    table = F.table
-    mmvd = min(max(F.count((v, e)) for e in table.domain(v))
-               for v in F.var_set())
-    mvd = min(F.var_count(v) for v in F.var_set())
-    return DegreeMeasures(mmvd=mmvd, mvd=mvd)
+    counts = F.value_count_table().values()
+    return DegreeMeasures(mmvd=min(map(max, counts)), mvd=min(map(sum, counts)))
 
 
 # -- tree serialization ----------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -182,20 +181,11 @@ def _first_pure(F: MultiClauseSet) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _pure_fixpoint(F: MultiClauseSet) -> Tuple[MultiClauseSet, List[AutarkyStep]]:
-    steps: List[AutarkyStep] = []
-    while True:
-        hit = _first_pure(F)
-        if hit is None:
-            return F, steps
-        phi = assign(hit)
-        steps.append(AutarkyStep(phi))
-        F = apply(phi, F)
-
-
 def pure_variable_elimination(F: MultiClauseSet) -> MultiClauseSet:
     """Fixpoint of assigning unused values, which drops the touched clauses."""
-    return _pure_fixpoint(F)[0]
+    while (hit := _first_pure(F)) is not None:
+        F = apply(assign(hit), F)
+    return F
 
 
 def subsumption_elimination(F: MultiClauseSet) -> MultiClauseSet:
@@ -307,13 +297,16 @@ def is_blocked(clause: Clause, F: MultiClauseSet, v: int) -> bool:
 
 
 class _ReductionState:
-    """The clauses of one r-reduction run and their literal index.
+    """The clauses of one reduction run and their literal index.
 
     ``mult`` maps each clause to its multiplicity and ``occ`` maps each
     occurring variable v to one dict per value e, holding the clauses with
-    the literal (v, e) and their multiplicities.  Every step updates both in
-    place and marks dirty the variables whose rule verdicts it may change;
-    ``retest_dirty`` recomputes those verdicts from the index.
+    the literal (v, e) and their multiplicities.  ``singular_step`` is the
+    one singular-DP step, shared by the r-reduction and ``musat.
+    recognize_mu1``.  In the r-reduction every step goes through ``change``,
+    which updates both in place and marks dirty the variables whose rule
+    verdicts it may change; ``retest_dirty`` recomputes those verdicts from
+    the index.
     """
 
     def __init__(self, F: MultiClauseSet):
@@ -357,16 +350,25 @@ class _ReductionState:
         The verdicts on v read only the clauses on v and whether each
         resolvent on v is a clause.  Such a resolvent holds only neighbours
         of v, so a changed clause can affect v only when v or a neighbour of
-        v occurs in it -- or when it is the empty clause.
+        v occurs in it -- or when it is the empty clause.  A change that
+        only lowers multiplicities leaves the resolvents of a v it does not
+        touch alone and makes fewer of them clauses; that can withdraw a
+        redundant clause of v but never find one, so then, besides the
+        touched variables, only those with a redundant clause are marked.
         """
         touched = set()
+        grows = False
         for clause, m in multiplicities.items():
+            grows = grows or m > self.mult.get(clause, 0)
             self._set(clause, m)
             if not clause:
                 touched.update(self.occ)
             touched.update(clause._by_var)
         self.current = None
         self.dirty |= touched
+        if not grows:
+            self.dirty.update(self.redundant)
+            return
         for v in touched:
             for slot in self.occ.get(v, ()):
                 for clause in slot:
@@ -406,32 +408,37 @@ class _ReductionState:
         """
         found = {main: None if R is None else frozenset(R.items())
                  for main, R in _singular_combinations(v, slots)}
-        twice = Counter(R for R in found.values() if R is not None)
+        seen, twice = set(), set()
+        for R in found.values():
+            if R is not None:
+                (twice if R in seen else seen).add(R)
         all_kept = all(R is None or R in self.mult for R in found.values())
-        for clause in sorted((c for slot in slots for c in slot), key=Clause.sort_key):
-            if self.mult[clause] >= 2:
-                return clause
-            if len(slots[clause._by_var[v]]) == 1:
-                if all_kept:
-                    return clause
-            else:
-                R = found[clause]
-                if R is None or R in self.mult or twice[R] >= 2:
-                    return clause
-        return None
+        redundant = [
+            clause for slot in slots for clause in slot
+            if self.mult[clause] >= 2 or (
+                all_kept if len(slot) == 1 else
+                found[clause] is None or found[clause] in self.mult
+                or found[clause] in twice)]
+        return min(redundant, key=Clause.sort_key, default=None)
 
-    def eliminate(self, v: int) -> None:
-        """Non-degenerate singular DP on v: its resolvents replace its clauses."""
+    def singular_step(self, v: int) -> Optional[Dict[Clause, int]]:
+        """Singular DP on v as an update for ``change`` or ``_set``: the
+        clauses on v go (multiplicity 0) and their resolvents come in
+        (multiplicity 1).  None when the step is degenerate: a resolvent
+        clashes, is already a clause, or repeats.  The clauses on v must
+        each have multiplicity one; then a non-degenerate step drops the
+        clause count by exactly |D_v| - 1.
+        """
         slots = self.occ[v]
         update = {c: 0 for slot in slots for c in slot}
-        fresh = {_clause(R): 1 for _, R in _singular_combinations(v, slots)
-                 if R is not None}
-        # no clause copy on v is redundant, so every clause on v has
-        # multiplicity one and all resolvents are defined, pairwise distinct
-        # and fresh: the clause count drops by exactly |D_v| - 1
-        assert len(fresh.keys() - self.mult.keys()) == len(update) - (self.sizes[v] - 1)
-        update.update(fresh)
-        self.change(update)
+        for _, R in _singular_combinations(v, slots):
+            if R is None:
+                return None
+            resolvent = _clause(R)
+            if resolvent in self.mult or resolvent in update:
+                return None
+            update[resolvent] = 1
+        return update
 
 
 def _with_side_literals(merged: Optional[Dict[int, int]], clause: Clause,
@@ -494,7 +501,10 @@ def _r_reduce_logged(F: MultiClauseSet) -> Tuple[MultiClauseSet, List]:
             return state.instance(), steps
         v = min(state.singular)
         steps.append(VariableEliminationStep(state.instance(), v))
-        state.eliminate(v)
+        update = state.singular_step(v)
+        # no clause copy on v is redundant, so the step is non-degenerate
+        assert update is not None
+        state.change(update)
 
 
 def r_reduction(F: MultiClauseSet) -> MultiClauseSet:

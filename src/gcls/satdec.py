@@ -182,32 +182,22 @@ def _branch_and_reduce(
 def sat_fpt(F: MultiClauseSet) -> FptResult:
     """Branch-and-reduce satisfiability decision via the boolean translation.
 
-    The instance is translated to boolean form, reduced to its matching-lean
-    pure-free core, and searched: every node applies s_reduction, answers SAT
-    on matching-satisfiable instances, and otherwise branches a variable of
-    minimal slack into both values.  Each branch strictly decreases the
-    maximal deficiency, so the number of explored leaves (node_count) is at
-    most 2**d for d the maximal deficiency of the reduced root.  The witness
-    is an assignment over the original variables.
+    The instance is translated to boolean form and searched with no
+    separate prelude: every node, the root included, applies s_reduction
+    (whose r-reduction already eliminates pure variables and applies the
+    matching autarky), answers SAT on matching-satisfiable instances, and
+    otherwise branches a variable of minimal slack into both values.  Each
+    branch strictly decreases the maximal deficiency, so the number of
+    explored leaves (node_count) is at most 2**d for d the maximal
+    deficiency of the reduced root.  The witness is an assignment over the
+    original variables.
     """
     from .translate import direct_weak, lift_assignment
-    from .reductions import _pure_fixpoint, AutarkyStep
 
     translation = direct_weak(F)
-    G = translation.boolean_cnf
-    steps = []
-    while True:
-        G, pure_steps = _pure_fixpoint(G)
-        steps.extend(pure_steps)
-        phi = quasi_maximal_matching_autarky(G)
-        if not phi:  # empty iff G is matching lean
-            break
-        steps.append(AutarkyStep(phi))
-        G = apply(phi, G)
-    sat, model, leaves = _branch_and_reduce(G)
+    sat, model, leaves = _branch_and_reduce(translation.boolean_cnf)
     if not sat:
         return FptResult(False, None, leaves)
-    model = lift_through_steps(steps, model)
     return FptResult(True, lift_assignment(translation, model), leaves)
 
 

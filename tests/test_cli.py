@@ -94,6 +94,24 @@ class TestEncodeThenAnalyze:
         assert f"surplus {surplus(vdw_instance(2, 3, 6)).value}" in out.splitlines()
 
 
+class TestTranslateOrderByOccurrences:
+    def test_matches_nested_with_values_by_descending_count(self, tmp_path, capsys):
+        rng = random.Random(903)
+        reordered = 0
+        for _ in range(60):
+            F = oracles.random_instance(rng, max_n=4, max_dom=4, max_c=10)
+            order = {v: tuple(sorted(F.table.domain(v),
+                                     key=lambda e: (-F.count((v, e)), e)))
+                     for v in F.var_set()}
+            reordered += any(order[v] != tuple(F.table.domain(v)) for v in order)
+            code, out, err = run(capsys, "translate", "--scheme", "nested",
+                                 "--order-by-occurrences",
+                                 write(tmp_path, emit_gcls(F)))
+            assert (code, err) == (0, "")
+            assert out == emit_dimacs(nested(F, value_order=order))
+        assert reordered >= 20
+
+
 class TestSelfCheck:
     def test_wrong_model_is_an_internal_error(self, tmp_path, capsys,
                                               monkeypatch):

@@ -423,6 +423,22 @@ class TestDerivedResults:
                     dropped_last_copy += 1
         assert dropped_last_copy >= 10
 
+    def test_parsed_files_and_tree_images(self):
+        from gcls.cli import emit_dimacs, emit_gcls, parse_dimacs, parse_gcls
+        from gcls.musat import tree_to_clause_set
+        from gcls.translate import direct_weak
+        from test_musat import random_tree
+
+        rng = random.Random(815)
+        for _ in range(200):
+            F = oracles.random_instance(rng, max_n=5, max_c=10)
+            parsed = parse_gcls(emit_gcls(F))
+            assert parsed == F
+            image = tree_to_clause_set(random_tree(rng, 12))
+            for G in (parsed, parse_dimacs(emit_dimacs(direct_weak(F))).cnf, image):
+                self.assert_validated_equal(G)
+                assert all(dict(c) == c._by_var for c in G.clauses())
+
     def test_public_constructors_still_validate(self):
         F = MultiClauseSet(BOOL3, [C1])
         for bad, message in (([(4, 0)], "not declared"), ([(1, 2)], "outside domain"),

@@ -1,7 +1,10 @@
 """Tests for minimal unsatisfiability at deficiency one."""
 
+import heapq
+import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -21,6 +24,7 @@ from gcls.musat import (
     DeficiencyOneTree,
     DegreeMeasures,
     LEAF,
+    Mu1Verdict,
     classify_mu1,
     degree_measures,
     format_tree,
@@ -31,7 +35,7 @@ from gcls.musat import (
     stability_at_least,
     tree_to_clause_set,
 )
-from gcls.reductions import is_singular, singular_dp
+from gcls.reductions import is_singular, resolvents, singular_dp
 from gcls.satdec import assignment_space, is_minimally_unsatisfiable
 from gcls.structure import classify_hitting, hitting_sat
 
@@ -385,6 +389,60 @@ def reference_recognize(F):
     return "mu1", tuple(steps)
 
 
+def reference_recognize_worklist(F):
+    """The worklist recognition over its own literal index, as it stood
+    before recognition moved onto the r-reduction's state; returns the
+    whole Mu1Verdict."""
+    if any(mult > 1 for _, mult in F.items()):
+        return Mu1Verdict("not_mu1", (), "a repeated clause is redundant")
+    table = F.table
+    clauses = set(F.clauses())
+    index = {}
+    for clause in clauses:
+        for lit in clause:
+            index.setdefault(lit, set()).add(clause)
+    occurrences = dict(Counter(lit.var for clause in clauses for lit in clause))
+    heap = [(count, v) for v, count in occurrences.items()]
+    heapq.heapify(heap)
+    steps = []
+    while clauses != {BOT}:
+        if not heap:
+            return Mu1Verdict("not_mu1", tuple(steps),
+                              "no singular variable left")
+        count, v = heapq.heappop(heap)
+        if count != occurrences[v]:
+            continue  # stale entry; v was pushed again with its new count
+        buckets = [list(index.get(Literal(v, e), ())) for e in table.domain(v)]
+        sizes = [len(bucket) for bucket in buckets]
+        if 0 in sizes or sum(size > 1 for size in sizes) > 1:
+            continue  # not singular; comes back once its counts change
+        steps.append(v)
+        added = set()
+        for parents in itertools.product(*buckets):
+            R = resolvents(v, parents, table)
+            if R is None or R in clauses or R in added:
+                return Mu1Verdict("not_mu1", tuple(steps),
+                                  f"degenerate elimination of variable {v}")
+            added.add(R)
+        for clause in itertools.chain.from_iterable(buckets):
+            clauses.remove(clause)
+            for lit in clause:
+                index[lit].remove(clause)
+                occurrences[lit.var] -= 1
+        # every literal of a resolvent comes from a parent, so it is indexed
+        # already, and every variable of a parent but v is in some resolvent
+        touched = set()
+        for clause in added:
+            clauses.add(clause)
+            for lit in clause:
+                index[lit].add(clause)
+                occurrences[lit.var] += 1
+                touched.add(lit.var)
+        for w in touched:
+            heapq.heappush(heap, (occurrences[w], w))
+    return Mu1Verdict("mu1", tuple(steps))
+
+
 def reference_tree(F):
     """Tree reconstruction by recursive splitting on a variable common to
     all clauses, single-valued ones first."""
@@ -421,7 +479,9 @@ def horn_chain(n):
 
 class TestMu1AgainstReference:
     """The worklist recognition and the linear classification agree with
-    the smallest-singular loop and the conflict-matrix classification."""
+    the smallest-singular loop and the conflict-matrix classification, and
+    the whole verdict (steps and reason too) with the former worklist over
+    its own literal index."""
 
     def samples(self):
         rng = random.Random(4242)
@@ -442,10 +502,13 @@ class TestMu1AgainstReference:
 
     def test_verdicts_steps_hitting_and_categories(self):
         members = hitting_checked = 0
+        reasons = Counter()
         for F in self.samples():
             outcome = recognize_mu1(F)
             verdict, _ = reference_recognize(F)
             assert outcome.verdict == verdict, dict(F.items())
+            assert outcome == reference_recognize_worklist(F), dict(F.items())
+            reasons[(outcome.reason or "").split(" of variable")[0]] += 1
             unsat = verdict == "mu1" or (assignment_space(F) <= 5_000
                                          and not oracles.brute_satisfiable(F))
             if unsat:
@@ -460,6 +523,7 @@ class TestMu1AgainstReference:
             assert (result.category, result.tree) == reference_classify(F), \
                 dict(F.items())
         assert members >= 200 and hitting_checked >= 500
+        assert min(reasons.values()) >= 40, reasons
 
     def test_chain_root_is_eliminated_last(self):
         # Every variable of a chain image is singular; the cheapest is the

@@ -10,12 +10,25 @@ from gcls.core import (
     PartialAssignment,
     VariableTable,
     apply,
+    assign,
     top,
 )
-from gcls.matching import matching_lean_kernel, max_deficiency
-from gcls.reductions import pure_variable_elimination
+from gcls.matching import (
+    matching_lean_kernel,
+    max_deficiency,
+    quasi_maximal_matching_autarky,
+)
+from gcls.musat import tree_to_clause_set
+from gcls.reductions import (
+    AutarkyStep,
+    _first_pure,
+    lift_through_steps,
+    pure_variable_elimination,
+)
 from gcls.satdec import (
     BruteForceCapExceeded,
+    FptResult,
+    _branch_and_reduce,
     assignment_space,
     brute_force_sat,
     decide,
@@ -28,10 +41,11 @@ from gcls.satdec import (
     sat_bounded_deficiency,
     sat_fpt,
 )
-from gcls.translate import direct_weak
+from gcls.translate import direct_weak, lift_assignment
 
 import oracles
 from test_core import mixed_example
+from test_musat import horn_chain, random_tree
 from test_reductions import full_combinations
 
 
@@ -244,7 +258,71 @@ def reduced_root_budget(F):
         G = H
 
 
+def reference_pure_fixpoint(F):
+    """The former reductions._pure_fixpoint: pure-variable elimination with
+    its autarky steps."""
+    steps = []
+    while True:
+        hit = _first_pure(F)
+        if hit is None:
+            return F, steps
+        phi = assign(hit)
+        steps.append(AutarkyStep(phi))
+        F = apply(phi, F)
+
+
+def reference_sat_fpt(F):
+    """sat_fpt with the prelude it had before the root s-reduction took
+    over: pure-variable and matching-autarky reduction to a fixpoint."""
+    translation = direct_weak(F)
+    G = translation.boolean_cnf
+    steps = []
+    while True:
+        G, pure_steps = reference_pure_fixpoint(G)
+        steps.extend(pure_steps)
+        phi = quasi_maximal_matching_autarky(G)
+        if not phi:  # empty iff G is matching lean
+            break
+        steps.append(AutarkyStep(phi))
+        G = apply(phi, G)
+    sat, model, leaves = _branch_and_reduce(G)
+    if not sat:
+        return FptResult(False, None, leaves)
+    model = lift_through_steps(steps, model)
+    return FptResult(True, lift_assignment(translation, model), leaves)
+
+
+def without_one_clause(rng, F):
+    items = dict(F.items())
+    del items[rng.choice(list(items))]
+    return F.with_clauses(items)
+
+
 class TestFptDecision:
+    def fpt_samples(self):
+        rng = random.Random(611)
+        for _ in range(300):
+            yield oracles.random_instance(rng, max_n=4, max_dom=3, max_c=7)
+        for n in (1, 2, 3, 5, 8, 13, 21, 40):
+            yield horn_chain(n)
+            yield without_one_clause(rng, horn_chain(n))
+        for _ in range(40):
+            image = tree_to_clause_set(random_tree(rng, 15))
+            yield image
+            yield without_one_clause(rng, image)
+
+    def test_agrees_with_the_prelude_reference(self):
+        unsat = 0
+        for F in self.fpt_samples():
+            result, expected = sat_fpt(F), reference_sat_fpt(F)
+            assert result.satisfiable == expected.satisfiable, dict(F.items())
+            assert result.node_count == expected.node_count, dict(F.items())
+            for witness in (result.witness, expected.witness):
+                assert (witness is None) == (not result.satisfiable)
+                assert witness is None or oracles.satisfies(witness, F)
+            unsat += not result.satisfiable
+        assert unsat >= 100
+
     def test_unsatisfiable_units_collapse_at_the_root(self):
         _, f1, _ = mixed_example()
         result = sat_fpt(f1)
