@@ -26,7 +26,14 @@ import re
 import sys
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .core import MultiClauseSet, PartialAssignment, VariableTable, _clause, _Trusted
+from .core import (
+    Literal,
+    MultiClauseSet,
+    PartialAssignment,
+    VariableTable,
+    _clause,
+    _Trusted,
+)
 from .encode import hypergraph_coloring, parse_hypergraph, vdw_instance
 from .matching import IncidenceGraph, matching_lean_kernel, surplus
 from .musat import _classify_member, format_tree, recognize_mu1
@@ -37,7 +44,7 @@ from .satdec import (
     is_autarky,
     lean_kernel_bounded,
 )
-from .structure import classify_hitting, conflict_matrix, hermitian_rank
+from .structure import classify_hitting, conflict_inertia
 from .translate import (
     TranslationResult,
     direct_strong,
@@ -64,6 +71,11 @@ def _fail(line: int, column: int, message: str) -> None:
 def _tokens(raw: str) -> List[Tuple[int, str]]:
     """The (column, token) pairs of one line; columns are 1-based."""
     return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw)]
+
+
+def _column(raw: str, index: int) -> int:
+    """The 1-based column of the index-th token of a line."""
+    return _tokens(raw)[index][0]
 
 
 def _is_comment(raw: str) -> bool:
@@ -104,10 +116,19 @@ def parse_gcls(text: str) -> MultiClauseSet:
             _fail(line, column, "missing 'p gcls' header")
         return header
 
+    # Clause lines keep their tokens for the clause pass; a token's column
+    # is only worked out for a diagnostic.
+    body: List[Tuple[int, str, List[str]]] = []
     for ln, raw in enumerate(lines, 1):
-        tokens = _tokens(raw)
-        if not tokens or _is_comment(raw):
+        words = raw.split()  # the same tokens as _tokens, without columns
+        if not words or _is_comment(raw):
             continue
+        if words[0] not in ("p", "d"):
+            if header is None:
+                _fail(ln, _column(raw, 0), "missing 'p gcls' header")
+            body.append((ln, raw, words))
+            continue
+        tokens = _tokens(raw)
         head_col, head = tokens[0]
         if head == "p":
             if header is not None:
@@ -127,8 +148,6 @@ def parse_gcls(text: str) -> MultiClauseSet:
             if sizes.setdefault(var, size) != size:
                 _fail(ln, var_col,
                       f"variable {var} declared twice with different sizes")
-        else:
-            require_header(ln, head_col)
 
     if header is None:
         _fail(len(lines) + 1, 1, "missing 'p gcls' header")
@@ -137,35 +156,42 @@ def parse_gcls(text: str) -> MultiClauseSet:
     multiplicities = _Trusted()  # every literal is checked as it is read
     count = 0
     current: Dict[int, int] = {}
-    last = (header_line, 1)
-    for ln, raw in enumerate(lines, 1):
-        tokens = _tokens(raw)
-        if not tokens or _is_comment(raw) or tokens[0][1] in ("p", "d"):
-            continue
-        for column, token in tokens:
-            last = (ln, column)
-            if token == "0":
-                clause = _clause(current)
-                multiplicities[clause] = multiplicities.get(clause, 0) + 1
-                count += 1
-                current = {}
-                continue
-            match = re.fullmatch(r"(\d+):(\d+)", token)
-            if match is None:
-                _fail(ln, column,
-                      f"bad token {token!r}: expected 'var:val' or '0'")
-            var, val = int(match.group(1)), int(match.group(2))
-            if not 1 <= var <= nvars:
-                _fail(ln, column,
-                      f"undeclared variable {var}: header allows 1..{nvars}")
-            size = sizes.setdefault(var, 2)
-            if val >= size:
-                _fail(ln, column, f"value {val} out of range for variable "
-                                  f"{var} (domain size {size})")
+    literals: List[Literal] = []  # those of current
+    checked: Dict[str, Literal] = {}  # literal tokens that passed every check
+    for ln, raw, words in body:
+        for index, token in enumerate(words):
+            lit = checked.get(token)
+            if lit is None:
+                if token == "0":
+                    clause = _clause(current, literals)
+                    multiplicities[clause] = multiplicities.get(clause, 0) + 1
+                    count += 1
+                    current, literals = {}, []
+                    continue
+                var_text, colon, val_text = token.partition(":")
+                # isdecimal is exactly the \d of a str pattern (category Nd)
+                if not (colon and var_text.isdecimal() and val_text.isdecimal()):
+                    _fail(ln, _column(raw, index),
+                          f"bad token {token!r}: expected 'var:val' or '0'")
+                var, val = int(var_text), int(val_text)
+                if not 1 <= var <= nvars:
+                    _fail(ln, _column(raw, index),
+                          f"undeclared variable {var}: header allows 1..{nvars}")
+                size = sizes.setdefault(var, 2)
+                if val >= size:
+                    _fail(ln, _column(raw, index),
+                          f"value {val} out of range for variable {var} "
+                          f"(domain size {size})")
+                lit = checked[token] = Literal(var, val)
+            var, val = lit
             if current.setdefault(var, val) != val:
-                _fail(ln, column, f"clashing literals on variable {var}")
+                _fail(ln, _column(raw, index),
+                      f"clashing literals on variable {var}")
+            literals.append(lit)
     if current:
-        _fail(*last, "unterminated clause at end of input")
+        ln, raw, words = body[-1]
+        _fail(ln, _column(raw, len(words) - 1),
+              "unterminated clause at end of input")
     if count != nclauses:
         _fail(header_line, 1, f"bad header counts: header announces "
                               f"{nclauses} clauses, file has {count}")
@@ -328,7 +354,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"{hitting.multipartition.k if hitting.multipartition else 0}",
     ]
     if args.hermitian:
-        inertia = hermitian_rank(conflict_matrix(F))
+        inertia = conflict_inertia(F)
         lines.extend([
             f"n-plus {inertia.n_plus}",
             f"n-minus {inertia.n_minus}",

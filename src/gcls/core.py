@@ -71,9 +71,10 @@ class Clause(frozenset):
 _literal = partial(tuple.__new__, Literal)
 
 
-def _clause(by_var: Dict[int, int]) -> Clause:
-    """The clause of a variable-to-value map of ints, without re-checking."""
-    self = frozenset.__new__(Clause, map(_literal, by_var.items()))
+def _clause(by_var: Dict[int, int], literals: Iterable[Literal] = ()) -> Clause:
+    """The clause of a variable-to-value map of ints, without re-checking;
+    a caller that already holds the map's literals may pass them."""
+    self = frozenset.__new__(Clause, literals or map(_literal, by_var.items()))
     self._by_var = by_var
     return self
 

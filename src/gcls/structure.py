@@ -23,12 +23,28 @@ This module computes that matrix and reads structure off it:
   the deficiency of the clause-set from above, which makes the matrix a
   purely combinatorial certificate against large deficiency.
 
-Everything here is exact integer / rational arithmetic; no floating
-point is involved.
+The conflict matrix factors through the literal incidence.  Let U be the
+c x L 0/1 matrix of clause occurrences against the L occurring literals,
+and Q = (+)_v (J - I), one all-ones-minus-identity block per variable over
+its occurring values.  Row i of U Q picks, for each literal (v, a) of
+clause i, the other values of v; so (U Q U^T)[i, j] counts the variables
+on which clauses i and j exclude different values, and M = U Q U^T.  Hence
+x^T M x = y^T Q y with y = U^T x: the form of M is the pull-back of Q
+restricted to W = range(U^T) along the surjection x -> U^T x, which only
+adds dim ker(U^T) zero eigenvalues (split off the kernel and apply
+Sylvester's law of inertia).  If the rows U[I] of a set I of clauses form
+a basis of W, the Gram matrix of Q in that basis is U[I] Q U[I]^T =
+M[I, I].  So the principal submatrix M[I, I], of order rank(U) <= L, has
+the same (n_plus, n_minus) as M; ``conflict_inertia`` uses that.
+
+Everything here is exact integer arithmetic; no floating point is
+involved.
 """
 
+from collections import Counter
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import Clause, MultiClauseSet, falsifying_count
 
@@ -39,6 +55,7 @@ __all__ = [
     "Multipartition",
     "clause_rows",
     "classify_hitting",
+    "conflict_inertia",
     "conflict_matrix",
     "deficiency_bound_check",
     "hermitian_rank",
@@ -91,6 +108,15 @@ class ConflictMatrix:
                     raise ValueError("conflict matrix must be symmetric")
         self._rows = entries
 
+    @classmethod
+    def _trusted(cls, rows: Tuple[Tuple[int, ...], ...]) -> "ConflictMatrix":
+        """A matrix built in this module from conflict counts: square,
+        symmetric, nonnegative and zero on the diagonal by construction, so
+        the O(m^2) checks of ``__init__`` are skipped."""
+        self = object.__new__(cls)
+        self._rows = rows
+        return self
+
     @property
     def order(self) -> int:
         return len(self._rows)
@@ -125,7 +151,7 @@ def conflict_matrix(F: MultiClauseSet) -> ConflictMatrix:
     for i in range(m):
         for j in range(i + 1, m):
             entries[i][j] = entries[j][i] = _conflicts(rows[i], rows[j])
-    return ConflictMatrix(entries)
+    return ConflictMatrix._trusted(tuple(map(tuple, entries)))
 
 
 class Multipartition(NamedTuple):
@@ -161,68 +187,82 @@ class HittingClassification(NamedTuple):
     multipartition: Optional[Multipartition]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
+def _union(masks) -> int:
+    """Bitwise or of row masks."""
+    result = 0
+    for mask in masks:
+        result |= mask
+    return result
 
 
 def classify_hitting(F: MultiClauseSet) -> HittingClassification:
-    """Hitting / regular / multihitting analysis of the conflict matrix.
+    """Hitting / regular / multihitting analysis of the conflict matrix,
+    read off the value groups of each variable instead of the matrix.
 
-    Multihitting detection merges occurrences along non-edges of the
-    conflict graph and then verifies that no two occurrences in the same
-    component clash; since the blocks of a complete multipartite graph
-    are exactly the connected components of its complement, the
-    multipartition is unique whenever it exists.
+    Two occurrences clash in v exactly when they sit in different value
+    groups of v, so the conflict counts of distinct clauses are the number
+    of variables that separate them; copies of one clause never clash.
+    For multihitting, each occurrence gets the bit mask of the occurrences
+    it does not clash with (itself included).  "Does not clash" is an
+    equivalence exactly when every occurrence has the mask of each of its
+    zero-partners, i.e. when each mask is covered by the occurrences that
+    carry it; the blocks of the (then unique) multipartition are the masks.
     """
-    matrix = conflict_matrix(F)
-    m = matrix.order
-    off_diagonal = [matrix.entry(i, j) for i in range(m) for j in range(i + 1, m)]
+    items = F.items()
+    k = len(items)
+    first = [0]  # clause i occupies the rows first[i] .. first[i + 1] - 1
+    for _, mult in items:
+        first.append(first[-1] + mult)
+    c = first[-1]
+    own = [((1 << (first[i + 1] - first[i])) - 1) << first[i] for i in range(k)]
+    groups: Dict[int, Dict[int, List[int]]] = {}  # v -> value -> clauses
+    for i, (clause, _) in enumerate(items):
+        for v, e in clause._by_var.items():
+            groups.setdefault(v, {}).setdefault(e, []).append(i)
 
-    hitting = all(x > 0 for x in off_diagonal)
-    hitting_degree = max(off_diagonal) if off_diagonal else None
-    if off_diagonal:
-        regular = off_diagonal[0] if len(set(off_diagonal)) == 1 else None
+    counts: Counter = Counter()  # i * k + j, i < j -> conflicts of i and j
+    clashing = [0] * k  # rows each clause clashes with
+    for by_value in groups.values():
+        if len(by_value) < 2:
+            continue
+        members = list(by_value.values())
+        masks = [_union(own[i] for i in group) for group in members]
+        every = _union(masks)
+        for group, mask in zip(members, masks):
+            for i in group:
+                clashing[i] |= every ^ mask
+        for a, group in enumerate(members):
+            for other in members[a + 1:]:
+                counts.update([i * k + j if i < j else j * k + i
+                               for i in group for j in other])
+
+    # some two occurrences do not clash: copies, or clauses with no count
+    zero_pairs = c > k or len(counts) < k * (k - 1) // 2
+    if c < 2:
+        hitting_degree, regular = None, 0
     else:
-        regular = 0
+        hitting_degree = max(counts.values(), default=0)
+        values = set(counts.values())
+        if zero_pairs:
+            regular = None if values else 0
+        else:
+            regular = values.pop() if len(values) == 1 else None
 
-    uf = _UnionFind(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if matrix.entry(i, j) == 0:
-                uf.union(i, j)
-    # Merging along non-edges makes any two occurrences from different
-    # components clash automatically; what can still fail is a clash inside
-    # a component, which is exactly what rules out a multipartition.
-    component = [uf.find(i) for i in range(m)]
-    multihitting = all(
-        matrix.entry(i, j) == 0
-        for i in range(m)
-        for j in range(i + 1, m)
-        if component[i] == component[j]
-    )
+    everything = (1 << c) - 1
+    by_mask: Dict[int, List[int]] = {}  # non-clash mask -> clauses carrying it
+    for i in range(k):
+        by_mask.setdefault(everything ^ clashing[i], []).append(i)
+    multihitting = all(_union(own[i] for i in group) == mask
+                       for mask, group in by_mask.items())
 
     multipartition = None
     if multihitting:
-        grouped: dict = {}
-        for i in range(m):
-            grouped.setdefault(component[i], []).append(i)
-        blocks = tuple(sorted(tuple(sorted(b)) for b in grouped.values()))
-        multipartition = Multipartition(blocks)
+        blocks = sorted(tuple(r for i in group for r in range(first[i], first[i + 1]))
+                        for group in by_mask.values())
+        multipartition = Multipartition(tuple(blocks))
 
     return HittingClassification(
-        hitting=hitting,
+        hitting=not zero_pairs,
         hitting_degree=hitting_degree,
         regular=regular,
         multihitting=multihitting,
@@ -270,16 +310,64 @@ class Inertia(NamedTuple):
     hdef: int
 
 
+def _signature(A: List[List[int]]) -> Tuple[int, int]:
+    """(n_plus, n_minus) of the symmetric integer matrix A, which is consumed.
+
+    Fraction-free congruence elimination.  After each step A holds
+    |det P| times the Schur complement of the pivot block P eliminated so
+    far, a positive multiple, so the signature is kept; its entries are
+    minors of the input, so they stay bounded and every division below is
+    exact (Bareiss).  A 1x1 pivot d is scaled by |d|; when the remaining
+    diagonal is all zero, a 2x2 pivot [[0, b], [b, 0]] is scaled by b^2 and
+    contributes one positive and one negative eigenvalue.
+    """
+    n_plus = n_minus = 0
+    scale = 1  # |det P|
+    while A:
+        p = next((i for i, row in enumerate(A) if row[i]), None)
+        if p is not None:
+            pivot = A.pop(p)
+            d = pivot.pop(p)
+            for row in A:
+                del row[p]
+            if d > 0:
+                n_plus += 1
+                sign = 1
+            else:
+                n_minus += 1
+                sign, d = -1, -d
+            A = [[(d * x - sign * a * y) // scale for x, y in zip(row, pivot)]
+                 for row, a in zip(A, pivot)]
+            scale = d
+            continue
+        i = next((i for i, row in enumerate(A) if any(row)), None)
+        if i is None:
+            break  # what remains is a zero matrix
+        j = next(j for j, x in enumerate(A[i]) if x)
+        b = A[i][j]
+        n_plus += 1
+        n_minus += 1
+        rest = [t for t in range(len(A)) if t != i and t != j]
+        ci = [A[i][t] for t in rest]
+        cj = [A[j][t] for t in rest]
+        bb, ss = b * b, scale * scale
+        A = [[(bb * x - b * (u * y + v * z)) // ss
+              for x, y, z in zip([A[t][s] for s in rest], cj, ci)]
+             for t, u, v in zip(rest, ci, cj)]
+        scale = bb // scale
+    return n_plus, n_minus
+
+
 def hermitian_rank(M) -> Inertia:
-    """Exact inertia of a symmetric matrix by rational congruence.
+    """Exact inertia of a symmetric matrix by integer congruence.
 
     Accepts a ConflictMatrix or any square symmetric matrix given as rows
-    of rationals.  Elimination uses a 1x1 pivot on the largest-magnitude
-    nonzero diagonal entry while one exists (ties broken by lowest
-    index); when the remaining diagonal is all zero it uses a 2x2 pivot
-    on the lexicographically least nonzero off-diagonal entry, which
-    contributes one positive and one negative eigenvalue.  Congruence
-    preserves the signature, so the count is exact.
+    of rationals.  The rows are scaled by the common denominator of their
+    entries, a positive scalar that keeps the signature, and the integer
+    matrix is eliminated fraction-free: 1x1 pivots on nonzero diagonal
+    entries while one exists, 2x2 pivots on a nonzero off-diagonal entry
+    when the remaining diagonal is all zero.  Congruence preserves the
+    signature, so the count is exact.
     """
     rows = M.rows() if isinstance(M, ConflictMatrix) else tuple(tuple(r) for r in M)
     m = len(rows)
@@ -289,46 +377,68 @@ def hermitian_rank(M) -> Inertia:
         for j in range(m):
             if rows[i][j] != rows[j][i]:
                 raise ValueError("matrix must be symmetric")
-    A = [[Fraction(x) for x in row] for row in rows]
-
-    active = list(range(m))
-    n_plus = n_minus = 0
-    while active:
-        diagonal = [i for i in active if A[i][i] != 0]
-        if diagonal:
-            p = max(diagonal, key=lambda i: abs(A[i][i]))
-            d = A[p][p]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            active.remove(p)
-            for i in active:
-                f = A[i][p] / d
-                if f:
-                    for j in active:
-                        A[i][j] -= f * A[p][j]
-            continue
-        pair = next(
-            ((i, j) for i in active for j in active if j > i and A[i][j] != 0),
-            None,
-        )
-        if pair is None:
-            break  # what remains is a zero matrix
-        i, j = pair
-        b = A[i][j]
-        n_plus += 1
-        n_minus += 1
-        active.remove(i)
-        active.remove(j)
-        for k in active:
-            ci, cj = A[k][i], A[k][j]
-            if ci or cj:
-                for l in active:
-                    A[k][l] -= (ci * A[j][l] + cj * A[i][l]) / b
-
+    if isinstance(M, ConflictMatrix):
+        A = [list(row) for row in rows]
+    else:
+        entries = [[Fraction(x) for x in row] for row in rows]
+        scale = lcm(*(x.denominator for row in entries for x in row))
+        A = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+    n_plus, n_minus = _signature(A)
     h = max(n_plus, n_minus)
     return Inertia(n_plus=n_plus, n_minus=n_minus, h=h, hdef=m - h)
+
+
+def _spanning_clauses(F: MultiClauseSet) -> List[Clause]:
+    """Clauses of F whose literal-incidence rows form a basis of the row
+    space of U, chosen greedily in canonical order.
+
+    Rows are reduced to echelon form over the integers, each kept
+    primitive; copies of a clause are always dependent, and the search
+    stops once the rank reaches the number of occurring literals.
+    """
+    column: Dict[Tuple[int, int], int] = {}
+    for clause in F.clauses():
+        for lit in clause:
+            column.setdefault(lit, len(column))
+    width = len(column)
+    echelon: Dict[int, List[int]] = {}  # leading column -> row
+    chosen: List[Clause] = []
+    for clause in F.clauses():
+        if len(chosen) == width:
+            break
+        row = [0] * width
+        for lit in clause:
+            row[column[lit]] = 1
+        for lead in range(width):
+            x = row[lead]
+            if not x:
+                continue
+            basis = echelon.get(lead)
+            if basis is None:
+                echelon[lead] = row
+                chosen.append(clause)
+                break
+            y = basis[lead]
+            row = [y * a - x * b for a, b in zip(row, basis)]
+            g = gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
+    return chosen
+
+
+def conflict_inertia(F: MultiClauseSet) -> Inertia:
+    """The inertia of conflict_matrix(F), without building it.
+
+    By the factorisation M = U Q U^T of the module docstring, M has the
+    signature of its principal submatrix on a set of clauses whose literal
+    rows form a basis of the row space of U; that submatrix has order at
+    most the number of occurring literals.  The hermitian defect is taken
+    against the full order F.c.
+    """
+    chosen = _spanning_clauses(F)
+    n_plus, n_minus = _signature([[_conflicts(C, D) for D in chosen] for C in chosen])
+    h = max(n_plus, n_minus)
+    return Inertia(n_plus=n_plus, n_minus=n_minus, h=h, hdef=F.c - h)
 
 
 def deficiency_bound_check(F: MultiClauseSet) -> bool:
@@ -338,4 +448,4 @@ def deficiency_bound_check(F: MultiClauseSet) -> bool:
     exposed as a cross-validation hook, and a False return signals a bug
     in either the deficiency computation or the inertia computation.
     """
-    return F.delta <= hermitian_rank(conflict_matrix(F)).hdef
+    return F.delta <= conflict_inertia(F).hdef

@@ -3,13 +3,16 @@
 Everything here works by exhaustive enumeration straight from definitions and
 deliberately avoids the library's own algorithms (the only shared code is the
 core data model).  Keep it that way: these are the independent side of every
-two-route check in the test-suite.
+two-route check in the test-suite.  The one exception is the last section:
+earlier library versions of replaced algorithms, kept verbatim as references
+for the code that replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from gcls.core import (
     BOT,
@@ -20,6 +23,13 @@ from gcls.core import (
     apply,
     restrict,
     touched,
+)
+from gcls.structure import (
+    ConflictMatrix,
+    HittingClassification,
+    Inertia,
+    Multipartition,
+    conflict_matrix,
 )
 
 
@@ -248,3 +258,141 @@ def random_instance(rng: random.Random, max_n=6, max_dom=3, max_c=12,
     if not multi:
         return MultiClauseSet(table, {c: 1 for c in clauses})
     return MultiClauseSet(table, clauses)
+
+
+# -- references kept from replaced algorithms ---------------------------------
+#
+# Earlier library versions of the conflict-structure functions, moved here
+# verbatim when the library switched to the literal incidence.  They work on
+# the full conflict matrix, so they are the pairwise side of the
+# differential tests in test_structure.py.
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> None:
+        self.parent[self.find(x)] = self.find(y)
+
+
+def reference_classify_hitting(F: MultiClauseSet) -> HittingClassification:
+    """Hitting / regular / multihitting analysis of the conflict matrix.
+
+    Multihitting detection merges occurrences along non-edges of the
+    conflict graph and then verifies that no two occurrences in the same
+    component clash; since the blocks of a complete multipartite graph
+    are exactly the connected components of its complement, the
+    multipartition is unique whenever it exists.
+    """
+    matrix = conflict_matrix(F)
+    m = matrix.order
+    off_diagonal = [matrix.entry(i, j) for i in range(m) for j in range(i + 1, m)]
+
+    hitting = all(x > 0 for x in off_diagonal)
+    hitting_degree = max(off_diagonal) if off_diagonal else None
+    if off_diagonal:
+        regular = off_diagonal[0] if len(set(off_diagonal)) == 1 else None
+    else:
+        regular = 0
+
+    uf = _UnionFind(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if matrix.entry(i, j) == 0:
+                uf.union(i, j)
+    # Merging along non-edges makes any two occurrences from different
+    # components clash automatically; what can still fail is a clash inside
+    # a component, which is exactly what rules out a multipartition.
+    component = [uf.find(i) for i in range(m)]
+    multihitting = all(
+        matrix.entry(i, j) == 0
+        for i in range(m)
+        for j in range(i + 1, m)
+        if component[i] == component[j]
+    )
+
+    multipartition = None
+    if multihitting:
+        grouped: dict = {}
+        for i in range(m):
+            grouped.setdefault(component[i], []).append(i)
+        blocks = tuple(sorted(tuple(sorted(b)) for b in grouped.values()))
+        multipartition = Multipartition(blocks)
+
+    return HittingClassification(
+        hitting=hitting,
+        hitting_degree=hitting_degree,
+        regular=regular,
+        multihitting=multihitting,
+        multipartition=multipartition,
+    )
+
+
+def reference_hermitian_rank(M) -> Inertia:
+    """Exact inertia of a symmetric matrix by rational congruence.
+
+    Accepts a ConflictMatrix or any square symmetric matrix given as rows
+    of rationals.  Elimination uses a 1x1 pivot on the largest-magnitude
+    nonzero diagonal entry while one exists (ties broken by lowest
+    index); when the remaining diagonal is all zero it uses a 2x2 pivot
+    on the lexicographically least nonzero off-diagonal entry, which
+    contributes one positive and one negative eigenvalue.  Congruence
+    preserves the signature, so the count is exact.
+    """
+    rows = M.rows() if isinstance(M, ConflictMatrix) else tuple(tuple(r) for r in M)
+    m = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != m:
+            raise ValueError("matrix must be square")
+        for j in range(m):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError("matrix must be symmetric")
+    A = [[Fraction(x) for x in row] for row in rows]
+
+    active = list(range(m))
+    n_plus = n_minus = 0
+    while active:
+        diagonal = [i for i in active if A[i][i] != 0]
+        if diagonal:
+            p = max(diagonal, key=lambda i: abs(A[i][i]))
+            d = A[p][p]
+            if d > 0:
+                n_plus += 1
+            else:
+                n_minus += 1
+            active.remove(p)
+            for i in active:
+                f = A[i][p] / d
+                if f:
+                    for j in active:
+                        A[i][j] -= f * A[p][j]
+            continue
+        pair = next(
+            ((i, j) for i in active for j in active if j > i and A[i][j] != 0),
+            None,
+        )
+        if pair is None:
+            break  # what remains is a zero matrix
+        i, j = pair
+        b = A[i][j]
+        n_plus += 1
+        n_minus += 1
+        active.remove(i)
+        active.remove(j)
+        for k in active:
+            ci, cj = A[k][i], A[k][j]
+            if ci or cj:
+                for l in active:
+                    A[k][l] -= (ci * A[j][l] + cj * A[i][l]) / b
+
+    h = max(n_plus, n_minus)
+    return Inertia(n_plus=n_plus, n_minus=n_minus, h=h, hdef=m - h)

@@ -5,7 +5,7 @@ import pytest
 from gcls import cli
 from gcls.cli import emit_dimacs, emit_gcls, main, parse_dimacs, parse_gcls
 from gcls.core import PartialAssignment
-from gcls.encode import vdw_instance
+from gcls.encode import complete_graph, hypergraph_coloring, vdw_instance
 from gcls.matching import surplus
 from gcls.satdec import SatResult
 from gcls.translate import direct_strong, direct_weak, logarithmic, nested, reduced
@@ -92,6 +92,50 @@ class TestEncodeThenAnalyze:
         assert code == 0
         assert "surplus 3" in out.splitlines()
         assert f"surplus {surplus(vdw_instance(2, 3, 6)).value}" in out.splitlines()
+
+
+class TestAnalyzeHermitian:
+    @pytest.mark.parametrize("instance, expected", [
+        (lambda: hypergraph_coloring(complete_graph(8), 7), (8, 48, 48, 148)),
+        (lambda: vdw_instance(2, 4, 20), (20, 20, 20, 94)),
+    ], ids=["K8-7-colours", "vdW(2,4,20)"])
+    def test_signature_lines(self, tmp_path, capsys, instance, expected):
+        code, out, err = run(capsys, "analyze", "--hermitian",
+                             write(tmp_path, emit_gcls(instance())))
+        assert (code, err) == (0, "")
+        n_plus, n_minus, h, hdef = expected
+        assert out.splitlines()[-4:] == [f"n-plus {n_plus}", f"n-minus {n_minus}",
+                                         f"h {h}", f"hdef {hdef}"]
+
+
+class TestParseDiagnostics:
+    @pytest.mark.parametrize("text, message", [
+        ("p gcls 2 1\n1:0 1:1 0\n",
+         "line 2, column 5: clashing literals on variable 1"),
+        ("p gcls 2 2\n1:0 2:1 0\n  2:1   1:0 2:0 0\n",
+         "line 3, column 13: clashing literals on variable 2"),
+        ("p gcls 2 1\n1:0 2:1",
+         "line 2, column 5: unterminated clause at end of input"),
+        ("p gcls 2 1\n1:0 3:1 0\n",
+         "line 2, column 5: undeclared variable 3: header allows 1..2"),
+        ("p gcls 2 1\nd 1 3\n1:2 2:2 0\n",
+         "line 3, column 5: value 2 out of range for variable 2 (domain size 2)"),
+        ("1:0 0\np gcls 1 1\n", "line 1, column 1: missing 'p gcls' header"),
+        ("p gcls 2 1\n1:0  1:0:1 0\n",
+         "line 2, column 6: bad token '1:0:1': expected 'var:val' or '0'"),
+        ("p gcls 2 1\n1:0 \u00b2:0 0\n",
+         "line 2, column 5: bad token '\u00b2:0': expected 'var:val' or '0'"),
+    ])
+    def test_line_and_column(self, text, message):
+        # Tokens are checked once and then remembered; a remembered token
+        # must still report its own position, and only decimal digits count.
+        with pytest.raises(ValueError) as info:
+            parse_gcls(text)
+        assert str(info.value) == message
+
+    def test_unicode_decimal_digits_are_numbers(self):
+        F = parse_gcls("p gcls 2 1\n1:0 \u0661:0 0\n")
+        assert emit_gcls(F) == "p gcls 1 1\nd 1 2\n1:0 0\n"
 
 
 class TestTranslateOrderByOccurrences:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,13 +20,18 @@ from gcls.structure import (
     ConflictMatrix,
     Inertia,
     Multipartition,
+    _spanning_clauses,
     classify_hitting,
     clause_rows,
+    conflict_inertia,
     conflict_matrix,
     deficiency_bound_check,
     hermitian_rank,
     hitting_sat,
 )
+from gcls.encode import complete_graph as complete_hypergraph
+from gcls.encode import hypergraph_coloring, vdw_instance
+from gcls.musat import tree_to_clause_set
 from gcls.translate import nested
 
 import oracles
@@ -99,6 +105,39 @@ def selector_family(rng, k=None, max_extra=3, max_block=3, units=False):
             tail = rng.sample(sorted(tau), rng.randint(0 if units else 1, extra))
             clauses.add(Clause([(1, e)] + [(v, tau[v]) for v in tail]))
     return MultiClauseSet(table, {c: 1 for c in clauses})
+
+
+def differential_sample():
+    """The shared sample of the differential tests against the references
+    in oracles: seeded random instances (multi and deduplicated), MU(1)
+    tree images, chain images and nested boolean images."""
+    from test_musat import chain_tree, random_tree  # test_musat imports this module
+
+    rng = random.Random(830)
+    for _ in range(320):
+        F = oracles.random_instance(rng, max_n=6, max_dom=4, max_c=12)
+        yield F
+        yield F.dedup()
+    for _ in range(40):
+        yield tree_to_clause_set(random_tree(rng, 8))
+    for depth in (1, 5, 12):
+        yield tree_to_clause_set(chain_tree(depth))
+    for _ in range(60):
+        yield nested(oracles.random_instance(rng, max_n=4, max_dom=4, max_c=8)).boolean_cnf
+
+
+def random_symmetric(rng, m, zero_diagonal=False):
+    """A random symmetric m x m matrix of small rationals."""
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            if i == j and zero_diagonal:
+                continue
+            x = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+            if rng.random() < 0.3:
+                x = Fraction(0)
+            rows[i][j] = rows[j][i] = x
+    return rows
 
 
 def clash_pairs(C, D):
@@ -179,6 +218,16 @@ class TestConflictMatrix:
             ConflictMatrix([[1, 0], [0, 0]])
         with pytest.raises(ValueError, match="negative"):
             ConflictMatrix([[0, -1], [-1, 0]])
+
+    def test_built_matrix_passes_the_public_checks(self):
+        # conflict_matrix skips the checks of the public constructor; a
+        # rebuild through it must accept the rows and give an equal matrix.
+        rng = random.Random(824)
+        for _ in range(100):
+            F = oracles.random_instance(rng, max_n=5, max_c=8)
+            M = conflict_matrix(F)
+            assert ConflictMatrix(M.rows()) == M
+            assert all(type(row) is tuple for row in M.rows())
 
     def test_nested_translation_preserves_conflicts(self):
         # Entry-for-entry under the clause correspondence C -> image(C); the
@@ -294,6 +343,22 @@ class TestClassifyHitting:
             hitting_seen += cls.hitting and len(rows) >= 2
         assert multihitting_seen >= 40
         assert hitting_seen >= 5
+
+    def test_matches_the_pairwise_reference(self):
+        rng = random.Random(827)
+        samples = list(differential_sample())
+        samples += [selector_family(rng, units=rng.random() < 0.5)
+                    for _ in range(100)]
+        seen = Counter()
+        for F in samples:
+            cls = classify_hitting(F)
+            assert cls == oracles.reference_classify_hitting(F)
+            seen["hitting"] += cls.hitting and F.c >= 2
+            seen["multihitting"] += cls.multihitting and not cls.hitting
+            seen["neither"] += not cls.multihitting
+            seen["irregular"] += cls.regular is None
+            seen["regular above 1"] += (cls.regular or 0) > 1
+        assert min(seen.values()) >= 5, seen
 
     def test_multipartition_blocks_partition_the_rows(self):
         rng = random.Random(814)
@@ -431,6 +496,37 @@ class TestHermitianRank:
             assert mine.h == max(mine.n_plus, mine.n_minus)
             assert mine.hdef == m - mine.h
 
+    def test_integer_kernel_matches_the_fraction_reference(self):
+        rng = random.Random(825)
+        zero_diagonal_pivots = 0
+        for trial in range(400):
+            m = rng.randint(0, 8)
+            rows = random_symmetric(rng, m, zero_diagonal=trial % 2 == 0)
+            expected = oracles.reference_hermitian_rank(rows)
+            assert hermitian_rank(rows) == expected
+            zero_diagonal_pivots += trial % 2 == 0 and expected.n_plus > 0
+        assert zero_diagonal_pivots >= 120
+
+    def test_conflict_matrices_match_the_fraction_reference(self):
+        for F in differential_sample():
+            M = conflict_matrix(F)
+            assert hermitian_rank(M) == oracles.reference_hermitian_rank(M)
+
+    def test_repeated_two_by_two_pivots(self):
+        # A shuffled direct sum of k blocks [[0, b], [b, 0]]: every pivot
+        # is 2x2, and each contributes one positive and one negative value.
+        rng = random.Random(828)
+        for k in range(1, 6):
+            m = 2 * k
+            rows = [[0] * m for _ in range(m)]
+            for t in range(k):
+                b = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 5)))
+                rows[2 * t][2 * t + 1] = rows[2 * t + 1][2 * t] = b
+            perm = list(range(m))
+            rng.shuffle(perm)
+            shuffled = [[rows[perm[i]][perm[j]] for j in range(m)] for i in range(m)]
+            assert hermitian_rank(shuffled) == Inertia(k, k, k, k)
+
     def test_conflict_matrix_and_raw_rows_agree(self):
         M = bipartite_adjacency()
         assert hermitian_rank(M) == hermitian_rank(M.rows())
@@ -440,6 +536,47 @@ class TestHermitianRank:
             hermitian_rank([[0, 1]])
         with pytest.raises(ValueError, match="symmetric"):
             hermitian_rank([[0, 1], [2, 0]])
+
+
+class TestConflictInertia:
+    def test_matches_the_full_matrix_reference(self):
+        for F in differential_sample():
+            expected = oracles.reference_hermitian_rank(conflict_matrix(F))
+            assert conflict_inertia(F) == expected
+
+    def test_chosen_clauses_are_a_basis_of_the_literal_row_space(self):
+        rng = random.Random(829)
+        for _ in range(150):
+            F = oracles.random_instance(rng, max_n=5, max_dom=3, max_c=10)
+            literals = sorted({lit for C in F.clauses() for lit in C})
+
+            def rank(clauses):
+                U = np.array([[lit in C for lit in literals] for C in clauses],
+                             dtype=float)
+                return int(np.linalg.matrix_rank(U)) if U.size else 0
+
+            chosen = _spanning_clauses(F)
+            assert len(set(chosen)) == len(chosen) == rank(chosen)
+            assert rank(chosen) == rank(clause_rows(F))
+
+    def test_trivial_clause_sets(self):
+        assert conflict_inertia(MultiClauseSet(VariableTable({}), [])) == Inertia(0, 0, 0, 0)
+        bot = MultiClauseSet(VariableTable({}), {BOT: 3})
+        assert conflict_inertia(bot) == Inertia(0, 0, 0, 3)
+        assert conflict_inertia(two_unit_copies()) == Inertia(0, 0, 0, 2)
+
+    def test_examples_checked_against_the_reference(self):
+        # Each value was checked against oracles.reference_hermitian_rank on
+        # the full conflict matrix (c = 114, 196 and 270), which takes
+        # seconds per instance; the literal incidence has rank at most 60.
+        cases = [
+            (tree_image_example(), Inertia(1, 6, 6, 1)),
+            (vdw_instance(2, 4, 20), Inertia(20, 20, 20, 94)),
+            (hypergraph_coloring(complete_hypergraph(8), 7), Inertia(8, 48, 48, 148)),
+            (vdw_instance(3, 3, 20), Inertia(20, 40, 40, 230)),
+        ]
+        for F, expected in cases:
+            assert conflict_inertia(F) == expected
 
 
 class TestDeficiencyBound:
