@@ -465,6 +465,8 @@ def cmd_encode_coloring(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gcls`` parser; each sub-command sets ``handler`` to the name of
+    its ``cmd_*`` function."""
     parser = argparse.ArgumentParser(
         prog="gcls",
         description="Analyze, translate, solve and generate generalised "
@@ -476,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--hermitian", action="store_true",
                          help="also report the conflict-matrix signature")
     analyze.add_argument("file")
-    analyze.set_defaults(func=cmd_analyze)
+    analyze.set_defaults(handler="cmd_analyze")
 
     translate = commands.add_parser(
         "translate", help="translate to boolean CNF (DIMACS)")
@@ -486,31 +488,31 @@ def build_parser() -> argparse.ArgumentParser:
                                 "descending occurrence count")
     translate.add_argument("file")
     translate.add_argument("-o", "--output")
-    translate.set_defaults(func=cmd_translate)
+    translate.set_defaults(handler="cmd_translate")
 
     solve = commands.add_parser("solve", help="decide satisfiability")
     solve.add_argument("--method", default="auto",
                        choices=("auto", "brute", "bounded", "fpt"))
     solve.add_argument("file")
-    solve.set_defaults(func=cmd_solve)
+    solve.set_defaults(handler="cmd_solve")
 
     autarky = commands.add_parser(
         "autarky", help="find a non-trivial autarky or certify leanness")
     autarky.add_argument("file")
-    autarky.set_defaults(func=cmd_autarky)
+    autarky.set_defaults(handler="cmd_autarky")
 
     kernel = commands.add_parser("lean-kernel", help="compute a lean kernel")
     kernel.add_argument("--system", default="matching",
                         choices=("matching", "general"))
     kernel.add_argument("file")
     kernel.add_argument("-o", "--output")
-    kernel.set_defaults(func=cmd_lean_kernel)
+    kernel.set_defaults(handler="cmd_lean_kernel")
 
     mu1 = commands.add_parser(
         "mu1", help="recognize and classify deficiency-1 minimal "
                     "unsatisfiability")
     mu1.add_argument("file")
-    mu1.set_defaults(func=cmd_mu1)
+    mu1.set_defaults(handler="cmd_mu1")
 
     encode = commands.add_parser("encode", help="generate an instance")
     kinds = encode.add_subparsers(dest="kind", required=True)
@@ -521,25 +523,32 @@ def build_parser() -> argparse.ArgumentParser:
     vdw.add_argument("k", type=int, help="progression length")
     vdw.add_argument("n", type=int, help="number of integers")
     vdw.add_argument("-o", "--output")
-    vdw.set_defaults(func=cmd_encode_vdw)
+    vdw.set_defaults(handler="cmd_encode_vdw")
 
     coloring = kinds.add_parser(
         "coloring", help="proper K-colouring of a hypergraph")
     coloring.add_argument("hypfile")
     coloring.add_argument("k", type=int, help="number of colours")
     coloring.add_argument("-o", "--output")
-    coloring.set_defaults(func=cmd_encode_coloring)
+    coloring.set_defaults(handler="cmd_encode_coloring")
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  The parser is built on the first call and kept; it
+    names each command's function, which is looked up when it runs."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if getattr(args, "order_by_occurrences", False) and args.scheme != "nested":
-        parser.error("--order-by-occurrences only applies to --scheme nested")
+        _parser.error("--order-by-occurrences only applies to --scheme nested")
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except BruteForceCapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     BOT,
@@ -53,6 +53,132 @@ def assignment_space(F: MultiClauseSet) -> int:
     return math.prod(F.table.domain_size(v) for v in F.var_set())
 
 
+class _Walk:
+    """One backtracking walk over the partial assignments of F.
+
+    It runs over an occurrence index built once: for each non-empty clause
+    its variables, length and multiplicity, and for each occurring variable
+    the clauses it occurs in with the value each of them forbids.  Binding
+    or unbinding one variable updates, on that variable's clauses only, how
+    many literals of each are falsified.  With ``room`` it also updates how
+    many bound literals satisfy each clause, and from these keeps ``c``,
+    the c of phi * F without the empty clause for the current partial
+    assignment phi.  The empty clause is touched by no assignment, so it is
+    not indexed; callers that must see it test ``BOT in F`` themselves.
+    """
+
+    __slots__ = ("variables", "size", "cap", "occ", "members", "length", "mult",
+                 "room", "false", "sat", "c", "rd")
+
+    def __init__(self, F: MultiClauseSet, room: bool = False):
+        sizes = F.table._sizes
+        self.variables = sorted(F.var_set())
+        self.size = {v: sizes[v] for v in self.variables}
+        self.cap = {v: sizes[v] - 1 for v in self.variables}
+        self.occ: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self.variables}
+        self.members, self.length, self.mult = [], [], []
+        for clause, mult in F._clauses.items():
+            if clause:
+                i = len(self.length)
+                for v, e in clause._by_var.items():
+                    self.occ[v].append((i, e))
+                self.members.append(tuple(clause._by_var))
+                self.length.append(len(clause))
+                self.mult.append(mult)
+        self.room = room
+        self.false = [0] * len(self.length)  # falsified literals per clause
+        self.sat = [0] * len(self.length)  # satisfying bound literals per clause
+        self.c = sum(self.mult)
+        self.rd = sum(self.cap.values())  # rd(F)
+
+    def bind(self, v: int, e: int) -> bool:
+        """Bind v to e; False when that falsifies a non-empty clause."""
+        false, sat, length, room = self.false, self.sat, self.length, self.room
+        ok = True
+        for i, forbidden in self.occ[v]:
+            if forbidden == e:
+                false[i] += 1
+                if false[i] == length[i]:
+                    ok = False
+            elif room:
+                sat[i] += 1
+                if sat[i] == 1:
+                    self.c -= self.mult[i]
+        return ok
+
+    def unbind(self, v: int, e: int) -> None:
+        """Undo ``bind(v, e)``."""
+        false, sat, room = self.false, self.sat, self.room
+        for i, forbidden in self.occ[v]:
+            if forbidden == e:
+                false[i] -= 1
+            elif room:
+                sat[i] -= 1
+                if not sat[i]:
+                    self.c += self.mult[i]
+
+    def assignments(self, variables: Sequence[int]) -> Iterator[List[int]]:
+        """The value tuples over the variables, in ascending lexicographic
+        order (the first variable varies slowest), each yielded while it is
+        bound; the list yielded is reused.  A prefix that falsifies a
+        non-empty clause is cut with its whole subtree: every extension
+        falsifies that clause too."""
+        k = len(variables)
+        if not k:
+            yield []
+            return
+        values = [-1] * k
+        depth = 0
+        while depth >= 0:
+            v, e = variables[depth], values[depth]
+            if e >= 0:
+                self.unbind(v, e)
+            e += 1
+            if e == self.size[v]:
+                values[depth] = -1
+                depth -= 1
+            else:
+                values[depth] = e
+                if not self.bind(v, e):
+                    continue
+                if depth + 1 == k:
+                    yield values
+                else:
+                    depth += 1
+
+    def bounded(self, max_vars: int) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+        """(variables, values) of the partial assignments binding at most
+        max_vars variables.  Sizes ascend; within a size the variable tuples
+        ascend lexicographically, and for each of them the value tuples as
+        in ``assignments``, with its cut.
+
+        With ``room`` only the phi with c(phi * F) <= rd(phi * F) are
+        yielded.  Every phi over a variable tuple S leaves the clauses S
+        does not touch and removes the variables of S, so
+        rd(phi * F) <= rd(F) - cap(S): a tuple whose untouched clauses
+        already outweigh that bound is skipped whole, and the exact
+        rd(phi * F) is worked out only for a phi whose c is within it.
+        """
+        for size in range(min(max_vars, len(self.variables)) + 1):
+            for subset in itertools.combinations(self.variables, size):
+                if self.room:
+                    reach = self.rd - sum(self.cap[v] for v in subset)
+                    touched = {i for v in subset for i, _ in self.occ[v]}
+                    if self.c - sum(self.mult[i] for i in touched) > reach:
+                        continue
+                for values in self.assignments(subset):
+                    if not self.room or (self.c <= reach
+                                         and self.c <= self._rd(subset)):
+                        yield subset, values
+
+    def _rd(self, subset: Tuple[int, ...]) -> int:
+        """rd(phi * F) for the bound phi over subset: the capacities of the
+        other variables of the clauses phi does not satisfy."""
+        occurring = {w for i, members in enumerate(self.members)
+                     if not self.sat[i] for w in members}
+        return sum(self.cap[w] for w in occurring.difference(subset))
+
+
 def brute_force_sat(F: MultiClauseSet,
                     cap: Optional[int] = None) -> Optional[PartialAssignment]:
     """First satisfying total assignment over var(F) in lexicographic order.
@@ -60,39 +186,29 @@ def brute_force_sat(F: MultiClauseSet,
     Variables ascend by id, values by magnitude.  Returns None when F is
     unsatisfiable.  When the assignment space exceeds the cap (argument,
     else GCLS_BRUTE_CAP, else 2*10^7) it refuses by raising
-    BruteForceCapExceeded -- it never guesses.
+    BruteForceCapExceeded before any work -- it never guesses.
+
+    The search is a backtracking walk in that order.  F containing the empty
+    clause is answered at once (no assignment satisfies it), and a prefix
+    that falsifies a non-empty clause is cut with its subtree (no model
+    extends it), so the first total assignment reached is the first model.
     """
     limit = _brute_cap() if cap is None else cap
     space = assignment_space(F)
     if space > limit:
         raise BruteForceCapExceeded(
             f"{space} total assignments exceed the cap of {limit}")
-    variables = sorted(F.var_set())
-    clauses = F.clauses()
-    for combo in itertools.product(*(F.table.domain(v) for v in variables)):
-        binding = dict(zip(variables, combo))
-        if all(any(binding[lit.var] != lit.value for lit in c) for c in clauses):
-            return PartialAssignment(binding)
+    if BOT in F:
+        return None
+    walk = _Walk(F)
+    for values in walk.assignments(walk.variables):
+        return PartialAssignment(zip(walk.variables, values))
     return None
 
 
 class SatResult(NamedTuple):
     satisfiable: bool
     witness: Optional[PartialAssignment]
-
-
-def _bounded_assignments(F: MultiClauseSet,
-                         max_vars: int) -> Iterator[PartialAssignment]:
-    """Partial assignments over var(F) binding at most max_vars variables.
-
-    Sizes ascend; within a size, variable tuples and then value tuples ascend
-    lexicographically, so the first hit of any search is deterministic.
-    """
-    variables = sorted(F.var_set())
-    for size in range(min(max_vars, len(variables)) + 1):
-        for subset in itertools.combinations(variables, size):
-            for values in itertools.product(*(F.table.domain(v) for v in subset)):
-                yield PartialAssignment(zip(subset, values))
 
 
 def sat_bounded_deficiency(F: MultiClauseSet) -> SatResult:
@@ -103,9 +219,26 @@ def sat_bounded_deficiency(F: MultiClauseSet) -> SatResult:
     satisfiable; composing phi with the matching-satisfying assignment psi of
     phi * F yields a model.  Exhausting the enumeration proves
     unsatisfiability.
+
+    The candidates phi come in the order of ``_Walk.bounded``: sizes
+    ascending, then variable tuples, then value tuples.  Three tests skip
+    candidates without changing the first hit:
+
+    - F containing the empty clause is answered at once: every phi * F
+      contains it, and it has no edge to match;
+    - a value prefix that falsifies a non-empty clause is cut with its
+      subtree: phi * F contains the empty clause;
+    - phi with c(phi * F) > rd(phi * F) is skipped: a matching covering c
+      occurrences needs c units of capacity.  A variable tuple whose every
+      phi is such is skipped whole, before its value tuples.
+
+    Only the remaining candidates build phi * F and its matching.
     """
-    bound = max_deficiency(F).value
-    for phi in _bounded_assignments(F, bound):
+    if BOT in F:
+        return SatResult(False, None)
+    walk = _Walk(F, room=True)
+    for subset, values in walk.bounded(max_deficiency(F).value):
+        phi = PartialAssignment(zip(subset, values))
         psi = matching_satisfying_assignment(apply(phi, F))
         if psi is not None:
             return SatResult(True, compose(phi, psi))
@@ -128,9 +261,16 @@ def find_nontrivial_autarky_bounded(
     psi, and the composition is returned as soon as it is a non-empty autarky
     for F.  (The empty phi covers instances that are not matching lean.)  If
     no composition works, F has no non-trivial autarky at all.
+
+    The candidates phi come in the order of ``_Walk.bounded``: sizes
+    ascending, then variable tuples, then value tuples.  A value prefix that
+    falsifies a non-empty clause is cut with its subtree: psi lives on the
+    variables of phi * F, so the composition leaves that clause touched and
+    falsified.  The empty clause is touched by nothing and never cuts.
     """
-    bound = max_deficiency(F).value
-    for phi in _bounded_assignments(F, bound):
+    walk = _Walk(F)
+    for subset, values in walk.bounded(max_deficiency(F).value):
+        phi = PartialAssignment(zip(subset, values))
         psi = quasi_maximal_matching_autarky(apply(phi, F))
         candidate = compose(phi, psi)
         if candidate and is_autarky(candidate, F):

@@ -21,9 +21,16 @@ from gcls.core import (
     PartialAssignment,
     VariableTable,
     apply,
+    compose,
     restrict,
     touched,
 )
+from gcls.matching import (
+    matching_satisfying_assignment,
+    max_deficiency,
+    quasi_maximal_matching_autarky,
+)
+from gcls.satdec import SatResult, is_autarky
 from gcls.structure import (
     ConflictMatrix,
     HittingClassification,
@@ -396,3 +403,52 @@ def reference_hermitian_rank(M) -> Inertia:
 
     h = max(n_plus, n_minus)
     return Inertia(n_plus=n_plus, n_minus=n_minus, h=h, hdef=m - h)
+
+
+# Earlier library versions of the satdec enumerations, moved here verbatim
+# when the library switched to one backtracking walk with cuts.  They visit
+# every candidate, building phi * F and its matching for each, so they are
+# the uncut side of the differential tests in test_satdec.py.
+
+
+def reference_brute_force_sat(F: MultiClauseSet):
+    """The former satdec.brute_force_sat loop, without its cap."""
+    variables = sorted(F.var_set())
+    clauses = F.clauses()
+    for combo in itertools.product(*(F.table.domain(v) for v in variables)):
+        binding = dict(zip(variables, combo))
+        if all(any(binding[lit.var] != lit.value for lit in c) for c in clauses):
+            return PartialAssignment(binding)
+    return None
+
+
+def reference_bounded_assignments(F: MultiClauseSet, max_vars: int):
+    """Partial assignments over var(F) binding at most max_vars variables.
+
+    Sizes ascend; within a size, variable tuples and then value tuples ascend
+    lexicographically, so the first hit of any search is deterministic.
+    """
+    variables = sorted(F.var_set())
+    for size in range(min(max_vars, len(variables)) + 1):
+        for subset in itertools.combinations(variables, size):
+            for values in itertools.product(*(F.table.domain(v) for v in subset)):
+                yield PartialAssignment(zip(subset, values))
+
+
+def reference_sat_bounded_deficiency(F: MultiClauseSet) -> SatResult:
+    bound = max_deficiency(F).value
+    for phi in reference_bounded_assignments(F, bound):
+        psi = matching_satisfying_assignment(apply(phi, F))
+        if psi is not None:
+            return SatResult(True, compose(phi, psi))
+    return SatResult(False, None)
+
+
+def reference_find_nontrivial_autarky_bounded(F: MultiClauseSet):
+    bound = max_deficiency(F).value
+    for phi in reference_bounded_assignments(F, bound):
+        psi = quasi_maximal_matching_autarky(apply(phi, F))
+        candidate = compose(phi, psi)
+        if candidate and is_autarky(candidate, F):
+            return candidate
+    return None

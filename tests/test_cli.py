@@ -192,6 +192,54 @@ class TestSelfCheck:
         assert code == 0 and out.startswith("AUTARKY\nv ")
 
 
+class TestSolveBoundedPinned:
+    def test_vdw_2_3_8_bytes(self, tmp_path, capsys):
+        path = str(tmp_path / "vdw.gcls")
+        assert run(capsys, "encode", "vdw", "2", "3", "8", "-o", path) == (0, "", "")
+        assert run(capsys, "solve", "--method", "bounded", path) == (
+            10, "s SATISFIABLE\nv 1:1 2:0 3:0 4:1 5:1 6:0 7:0 8:1\n", "")
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserReuse:
+    def test_second_round_repeats_the_first(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)  # the first call builds it
+        sat = write(tmp_path, SAT_TEXT)
+        hyp = write(tmp_path, "p hyp 3 2\n1 2 0\n2 3 0\n", "g.hyp")
+        commands = [
+            ("analyze", sat),
+            ("analyze", "--hermitian", sat),
+            ("translate", "--scheme", "nested", "--order-by-occurrences", sat),
+            ("translate", "--scheme", "log", sat),
+            ("solve", "--method", "bounded", sat),
+            ("solve", write(tmp_path, UNSAT_TEXT, "unsat.gcls")),
+            ("autarky", sat),
+            ("lean-kernel", "--system", "general", sat),
+            ("mu1", sat),
+            ("encode", "vdw", "2", "3", "5"),
+            ("encode", "coloring", hyp, "2"),
+        ]
+        first = [outcome(capsys, argv) for argv in commands]
+        code, out, err = outcome(capsys, ("solve", "--method", "nope", sat))
+        assert (code, out) == (2, "") and "invalid choice: 'nope'" in err
+        code, out, err = outcome(capsys, ("translate", "--scheme", "direct",
+                                          "--order-by-occurrences", sat))
+        assert (code, out) == (2, "") and err.endswith(
+            "error: --order-by-occurrences only applies to --scheme nested\n")
+        second = [outcome(capsys, argv) for argv in commands]
+        assert second == first
+        assert [code for code, _, _ in first] == [0, 0, 0, 0, 10, 20, 0, 0, 0, 0, 0]
+
+
 class TestNoTraceback:
     def test_unexpected_exception_is_one_line(self, tmp_path, capsys,
                                               monkeypatch):

@@ -13,6 +13,7 @@ from gcls.core import (
     assign,
     top,
 )
+from gcls.encode import vdw_instance
 from gcls.matching import (
     matching_lean_kernel,
     max_deficiency,
@@ -28,6 +29,7 @@ from gcls.reductions import (
 from gcls.satdec import (
     BruteForceCapExceeded,
     FptResult,
+    _Walk,
     _branch_and_reduce,
     assignment_space,
     brute_force_sat,
@@ -177,6 +179,97 @@ class TestLeanKernel:
             assert lean_kernel_bounded(F) == oracles.brute_lean_kernel(F)
 
 
+def without_one_clause(rng, F):
+    items = dict(F.items())
+    del items[rng.choice(list(items))]
+    return F.with_clauses(items)
+
+
+def walk_samples():
+    """Seeded random instances (multi and dedup), Horn chains and tree images
+    with and without one clause, and vdW(2,3,n) for n <= 9."""
+    rng = random.Random(612)
+    for _ in range(1000):
+        F = oracles.random_instance(rng, max_n=5, max_c=9,
+                                    multi=rng.random() < 0.5)
+        yield F
+        if F.dedup() is not F:
+            yield F.dedup()
+    for n in range(1, 13):
+        yield horn_chain(n)
+        yield without_one_clause(rng, horn_chain(n))
+    for _ in range(40):
+        image = tree_to_clause_set(random_tree(rng, 8))
+        yield image
+        yield without_one_clause(rng, image)
+    for n in range(3, 10):
+        yield vdw_instance(2, 3, n)
+
+
+class TestWalkAgainstReferences:
+    """The walk visits the former enumerations' candidates in their order,
+    so every answer equals that of the uncut reference loops."""
+
+    def test_same_answers_as_the_uncut_references(self, monkeypatch):
+        cuts = []
+        bind = _Walk.bind
+
+        def counted_bind(self, v, e):
+            ok = bind(self, v, e)
+            cuts.append(not ok)
+            return ok
+
+        monkeypatch.setattr(_Walk, "bind", counted_bind)
+        samples = with_bot = with_unit_domain = with_cut = 0
+        for F in walk_samples():
+            cuts.clear()
+            assert brute_force_sat(F) == oracles.reference_brute_force_sat(F), F
+            assert (sat_bounded_deficiency(F)
+                    == oracles.reference_sat_bounded_deficiency(F)), F
+            assert (find_nontrivial_autarky_bounded(F)
+                    == oracles.reference_find_nontrivial_autarky_bounded(F)), F
+            samples += 1
+            with_bot += BOT in F
+            with_unit_domain += any(F.table.domain_size(v) == 1
+                                    for v in F.var_set())
+            with_cut += any(cuts)
+        assert samples >= 1000
+        assert with_bot >= 300 and with_unit_domain >= 100 and with_cut >= 450
+
+    def test_hopeless_candidates_build_no_restriction(self, monkeypatch):
+        # on vdW(2,3,n), n <= 9, c(phi * F) <= rd(phi * F) rules out every
+        # candidate before the first hit, so at most one restriction is built
+        calls = []
+        monkeypatch.setattr("gcls.satdec.apply",
+                            lambda phi, F: calls.append(phi) or apply(phi, F))
+        for n in range(6, 10):
+            calls.clear()
+            result = sat_bounded_deficiency(vdw_instance(2, 3, n))
+            assert result.satisfiable == (n < 9)
+            assert len(calls) == result.satisfiable
+
+    def test_empty_clause_beside_an_autark_part(self):
+        _, f1, f2 = mixed_example()
+        F = f1 + f2 + bottom_only()
+        phi = find_nontrivial_autarky_bounded(F)
+        assert phi == oracles.reference_find_nontrivial_autarky_bounded(F)
+        assert phi is not None and set(phi) <= {3, 4}
+        assert oracles.brute_is_autarky(phi, F)
+        assert lean_kernel_bounded(F) == f1 + bottom_only()
+        table = VariableTable({1: 2})
+        G = MultiClauseSet(table, [BOT, Clause([(1, 0)])])
+        assert find_nontrivial_autarky_bounded(G) == assign((1, 1))
+
+    def test_lean_kernel_with_the_empty_clause(self):
+        rng = random.Random(613)
+        seen = 0
+        while seen < 60:
+            F = oracles.random_instance(rng, max_n=4, max_c=7)
+            if BOT in F:
+                seen += 1
+                assert lean_kernel_bounded(F) == oracles.brute_lean_kernel(F)
+
+
 class TestDecide:
     def test_unknown_method_is_rejected(self):
         with pytest.raises(ValueError):
@@ -290,12 +383,6 @@ def reference_sat_fpt(F):
         return FptResult(False, None, leaves)
     model = lift_through_steps(steps, model)
     return FptResult(True, lift_assignment(translation, model), leaves)
-
-
-def without_one_clause(rng, F):
-    items = dict(F.items())
-    del items[rng.choice(list(items))]
-    return F.with_clauses(items)
 
 
 class TestFptDecision:
