@@ -3,9 +3,11 @@
 Unit-clause propagation (which shrinks domains by renaming variables away),
 pure-variable and subsumption elimination, the resolution rule with its
 variable-elimination operator, the singular special cases, blocked clauses,
-and two composite reduction loops built from all of those.
+and one reduction loop whose five rules, in priority order, are: dropping a
+redundant clause copy on a singular variable, pure-variable elimination,
+matching-autarky reduction, singular DP and the surplus-one autarky.
 
-Every reduction keeps satisfiability.  The composite loops also come in a
+Every reduction keeps satisfiability.  Both reductions also come in a
 ``*_with_log`` form returning the steps performed; each step can ``lift`` a
 model of its result back to a model of its input, so a witness found on the
 reduced instance can be rebuilt for the original one.
@@ -169,23 +171,15 @@ def unit_clause_propagation(F: MultiClauseSet) -> Tuple[MultiClauseSet, tuple]:
 # -- pure variables and subsumption -------------------------------------------
 
 
-def _first_pure(F: MultiClauseSet) -> Optional[Tuple[int, int]]:
-    used: Dict[int, set] = {}
-    for clause in F._clauses:
-        for v, e in clause._by_var.items():
-            used.setdefault(v, set()).add(e)
-    for v in sorted(used):
-        for e in F.table.domain(v):
-            if e not in used[v]:
-                return v, e
-    return None
-
-
 def pure_variable_elimination(F: MultiClauseSet) -> MultiClauseSet:
-    """Fixpoint of assigning unused values, which drops the touched clauses."""
-    while (hit := _first_pure(F)) is not None:
-        F = apply(assign(hit), F)
-    return F
+    """Fixpoint of assigning unused values, which drops the touched clauses;
+    each step makes the pick of the reduction loop's pure rule."""
+    state = _ReductionState(F)
+    while True:
+        state.retest_dirty()
+        if not state.pure:
+            return state.instance()
+        state.remove_touched(assign(state.pure_binding()))
 
 
 def subsumption_elimination(F: MultiClauseSet) -> MultiClauseSet:
@@ -293,7 +287,7 @@ def is_blocked(clause: Clause, F: MultiClauseSet, v: int) -> bool:
             subsumption_elimination(_dp(minus, v)))
 
 
-# -- the composite reduction loops ---------------------------------------------
+# -- the reduction loop -------------------------------------------------------
 
 
 class _ReductionState:
@@ -302,11 +296,11 @@ class _ReductionState:
     ``mult`` maps each clause to its multiplicity and ``occ`` maps each
     occurring variable v to one dict per value e, holding the clauses with
     the literal (v, e) and their multiplicities.  ``singular_step`` is the
-    one singular-DP step, shared by the r-reduction and ``musat.
-    recognize_mu1``.  In the r-reduction every step goes through ``change``,
-    which updates both in place and marks dirty the variables whose rule
-    verdicts it may change; ``retest_dirty`` recomputes those verdicts from
-    the index.
+    one singular-DP step, shared by the reduction loop and ``musat.
+    recognize_mu1``.  In the loop and in ``pure_variable_elimination`` every
+    step goes through ``change``, which updates both in place and marks
+    dirty the variables whose rule verdicts it may change; ``retest_dirty``
+    recomputes those verdicts from the index.
     """
 
     def __init__(self, F: MultiClauseSet):
@@ -397,6 +391,11 @@ class _ReductionState:
                     self.redundant[v] = clause
         self.dirty.clear()
 
+    def pure_binding(self) -> Tuple[int, int]:
+        """The smallest pure variable and its smallest unused value."""
+        v = min(self.pure)
+        return v, next(e for e, slot in enumerate(self.occ[v]) if not slot)
+
     def _redundant_clause_on(self, v: int, slots) -> Optional[Clause]:
         """The first clause on singular v, in canonical order, one copy of
         which can go without changing the result of eliminating v.
@@ -469,7 +468,9 @@ def _singular_combinations(v: int, slots):
             for main in mains]
 
 
-def _r_reduce_logged(F: MultiClauseSet) -> Tuple[MultiClauseSet, List]:
+def _r_reduce_logged(F: MultiClauseSet,
+                     surplus_one: bool) -> Tuple[MultiClauseSet, List]:
+    """The reduction loop; its last rule runs only with ``surplus_one``."""
     state = _ReductionState(F)
     steps: List = []
     lean = False  # whether the last matching-autarky test found F lean
@@ -483,9 +484,7 @@ def _r_reduce_logged(F: MultiClauseSet) -> Tuple[MultiClauseSet, List]:
             lean = False
             continue
         if state.pure:
-            v = min(state.pure)
-            e = next(e for e, slot in enumerate(state.occ[v]) if not slot)
-            phi = assign((v, e))
+            phi = assign(state.pure_binding())
         elif lean:
             # a non-degenerate singular DP keeps F matching lean
             phi = None
@@ -497,30 +496,46 @@ def _r_reduce_logged(F: MultiClauseSet) -> Tuple[MultiClauseSet, List]:
             lean = False
             continue
         lean = True
-        if not state.singular:
+        if state.singular:
+            v = min(state.singular)
+            steps.append(VariableEliminationStep(state.instance(), v))
+            update = state.singular_step(v)
+            # no clause copy on v is redundant, so the step is non-degenerate
+            assert update is not None
+            state.change(update)
+            continue
+        if not surplus_one or not state.occ:
             return state.instance(), steps
-        v = min(state.singular)
-        steps.append(VariableEliminationStep(state.instance(), v))
-        update = state.singular_step(v)
-        # no clause copy on v is redundant, so the step is non-degenerate
-        assert update is not None
-        state.change(update)
+        found = surplus(state.instance(), at_most=2)
+        if found.value >= 2:
+            return state.instance(), steps
+        # matching lean and nonempty, so the surplus is exactly one here and
+        # comes with a witness V; the restriction to V has deficiency one and
+        # every variable occurs more often than its domain size, which makes
+        # the restriction satisfiable -- a satisfying assignment of it is a
+        # non-trivial autarky.
+        part = restrict(state.instance(), found.witness)
+        sigma = _satisfy_surplus_one_part(part)
+        steps.append(AutarkyStep(sigma))
+        state.remove_touched(sigma)
+        lean = False
 
 
 def r_reduction(F: MultiClauseSet) -> MultiClauseSet:
-    """Fixpoint of four rules, tried in priority order: dropping a redundant
-    clause on a singular variable, pure-variable elimination, matching-autarky
-    reduction, and elimination of a (then non-degenerate) singular variable.
+    """The reduction loop without its surplus-one rule: fixpoint of dropping
+    a redundant clause on a singular variable, pure-variable elimination,
+    matching-autarky reduction, and elimination of a (then non-degenerate)
+    singular variable, tried in that order.
 
     The result is matching lean, has no pure and no singular variables, is
     satisfiability-equivalent, and its maximal deficiency never exceeds the
     input's.
     """
-    return _r_reduce_logged(F)[0]
+    return _r_reduce_logged(F, surplus_one=False)[0]
 
 
 def r_reduction_with_log(F: MultiClauseSet):
-    F, steps = _r_reduce_logged(F)
+    F, steps = _r_reduce_logged(F, surplus_one=False)
     return F, tuple(steps)
 
 
@@ -532,34 +547,14 @@ def _satisfy_surplus_one_part(part: MultiClauseSet) -> PartialAssignment:
     return outcome.witness
 
 
-def _s_reduce_logged(F: MultiClauseSet) -> Tuple[MultiClauseSet, List]:
-    steps: List = []
-    while True:
-        F, sub = _r_reduce_logged(F)
-        steps.extend(sub)
-        if not F.var_set():
-            return F, steps
-        found = surplus(F, at_most=2)
-        if found.value >= 2:
-            return F, steps
-        # matching lean and nonempty, so the surplus is exactly one here and
-        # comes with a witness V; the restriction to V has deficiency one and
-        # every variable occurs more often than its domain size, which makes
-        # the restriction satisfiable -- a satisfying assignment of it is a
-        # non-trivial autarky.
-        part = restrict(F, found.witness)
-        sigma = _satisfy_surplus_one_part(part)
-        steps.append(AutarkyStep(sigma))
-        F = apply(sigma, F)
-
-
 def s_reduction(F: MultiClauseSet) -> MultiClauseSet:
-    """r_reduction strengthened until the surplus is at least two (or no
-    variables are left), by satisfying deficiency-one restrictions and
-    applying them as autarkies."""
-    return _s_reduce_logged(F)[0]
+    """The reduction loop with all five rules: r_reduction's, then, while the
+    surplus is one, satisfying the deficiency-one restriction to a surplus
+    witness and applying it as an autarky.  The result has surplus at least
+    two or no variables."""
+    return _r_reduce_logged(F, surplus_one=True)[0]
 
 
 def s_reduction_with_log(F: MultiClauseSet):
-    F, steps = _s_reduce_logged(F)
+    F, steps = _r_reduce_logged(F, surplus_one=True)
     return F, tuple(steps)

@@ -16,6 +16,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     BOT,
+    EMPTY_ASSIGNMENT,
     Clause,
     MultiClauseSet,
     PartialAssignment,
@@ -23,7 +24,6 @@ from .core import (
     assign,
     clause_to_assignment,
     compose,
-    measures,
 )
 from .matching import (
     matching_satisfying_assignment,
@@ -247,9 +247,9 @@ def sat_bounded_deficiency(F: MultiClauseSet) -> SatResult:
 
 def is_autarky(phi: PartialAssignment, F: MultiClauseSet) -> bool:
     """Whether every clause touched by var(phi) is satisfied by phi."""
-    touched_vars = phi.keys()
-    return all(phi.satisfies_clause(c) for c in F.clauses()
-               if c.variables & touched_vars)
+    bound = phi._bindings.keys()
+    return all(phi.satisfies_clause(c) for c in F._clauses
+               if not bound.isdisjoint(c._by_var))
 
 
 def find_nontrivial_autarky_bounded(
@@ -301,14 +301,16 @@ def _branch_and_reduce(
         G: MultiClauseSet) -> Tuple[bool, Optional[PartialAssignment], int]:
     """Decide a boolean instance; returns (sat, model, explored leaves)."""
     G, steps = s_reduction_with_log(G)
-    psi = matching_satisfying_assignment(G)
-    if psi is not None:
-        return True, lift_through_steps(steps, psi), 1
+    # s-reduced G is matching lean, so matching satisfiable only when empty:
+    # with a clause, a matching-satisfying assignment would be a non-trivial
+    # matching autarky (and the empty clause has no edge to match)
+    if not G:
+        return True, lift_through_steps(steps, EMPTY_ASSIGNMENT), 1
     if BOT in G:
         return False, None, 1
-    slack = measures(G).slack_counts
-    v = min(G.var_set(),
-            key=lambda w: (min(slack[w, e] for e in G.table.domain(w)), w))
+    # minimal slack: occurrences of w minus those of its most frequent value
+    counts = G.value_count_table()
+    v = min(counts, key=lambda w: (sum(counts[w]) - max(counts[w]), w))
     leaves = 0
     for e in G.table.domain(v):
         phi = assign((v, e))
@@ -324,13 +326,13 @@ def sat_fpt(F: MultiClauseSet) -> FptResult:
 
     The instance is translated to boolean form and searched with no
     separate prelude: every node, the root included, applies s_reduction
-    (whose r-reduction already eliminates pure variables and applies the
-    matching autarky), answers SAT on matching-satisfiable instances, and
-    otherwise branches a variable of minimal slack into both values.  Each
-    branch strictly decreases the maximal deficiency, so the number of
-    explored leaves (node_count) is at most 2**d for d the maximal
-    deficiency of the reduced root.  The witness is an assignment over the
-    original variables.
+    (whose loop already eliminates pure variables and applies the matching
+    autarky), answers SAT when no clause is left (the only matching-
+    satisfiable s-reduced instance), and otherwise branches a variable of
+    minimal slack into both values.  Each branch strictly decreases the
+    maximal deficiency, so the number of explored leaves (node_count) is at
+    most 2**d for d the maximal deficiency of the reduced root.  The witness
+    is an assignment over the original variables.
     """
     from .translate import direct_weak, lift_assignment
 

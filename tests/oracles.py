@@ -3,7 +3,7 @@
 Everything here works by exhaustive enumeration straight from definitions and
 deliberately avoids the library's own algorithms (the only shared code is the
 core data model).  Keep it that way: these are the independent side of every
-two-route check in the test-suite.  The one exception is the last section:
+two-route check in the test-suite.  The exceptions are the last sections:
 earlier library versions of replaced algorithms, kept verbatim as references
 for the code that replaced them.
 """
@@ -21,7 +21,9 @@ from gcls.core import (
     PartialAssignment,
     VariableTable,
     apply,
+    assign,
     compose,
+    measures,
     restrict,
     touched,
 )
@@ -30,6 +32,7 @@ from gcls.matching import (
     max_deficiency,
     quasi_maximal_matching_autarky,
 )
+from gcls.reductions import lift_through_steps, s_reduction_with_log
 from gcls.satdec import SatResult, is_autarky
 from gcls.structure import (
     ConflictMatrix,
@@ -452,3 +455,52 @@ def reference_find_nontrivial_autarky_bounded(F: MultiClauseSet):
         if candidate and is_autarky(candidate, F):
             return candidate
     return None
+
+
+# Earlier library versions of the pure-variable pick and of a sat_fpt search
+# node, moved here verbatim when pure-variable elimination moved onto the
+# reduction loop's state and the node stopped re-testing matching
+# satisfiability after the s-reduction.
+
+
+def reference_first_pure(F: MultiClauseSet):
+    """The former reductions._first_pure: the smallest occurring variable
+    with an unused value, and its smallest unused value."""
+    used = {}
+    for clause in F._clauses:
+        for v, e in clause._by_var.items():
+            used.setdefault(v, set()).add(e)
+    for v in sorted(used):
+        for e in F.table.domain(v):
+            if e not in used[v]:
+                return v, e
+    return None
+
+
+def reference_pure_variable_elimination(F: MultiClauseSet) -> MultiClauseSet:
+    """The former reductions.pure_variable_elimination loop."""
+    while (hit := reference_first_pure(F)) is not None:
+        F = apply(assign(hit), F)
+    return F
+
+
+def reference_branch_and_reduce(G: MultiClauseSet):
+    """The former satdec._branch_and_reduce: decide a boolean instance;
+    returns (sat, model, explored leaves)."""
+    G, steps = s_reduction_with_log(G)
+    psi = matching_satisfying_assignment(G)
+    if psi is not None:
+        return True, lift_through_steps(steps, psi), 1
+    if BOT in G:
+        return False, None, 1
+    slack = measures(G).slack_counts
+    v = min(G.var_set(),
+            key=lambda w: (min(slack[w, e] for e in G.table.domain(w)), w))
+    leaves = 0
+    for e in G.table.domain(v):
+        phi = assign((v, e))
+        sat, model, below = reference_branch_and_reduce(apply(phi, G))
+        leaves += below
+        if sat:
+            return True, lift_through_steps(steps, compose(model, phi)), leaves
+    return False, None, leaves

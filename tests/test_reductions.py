@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,7 +31,6 @@ from gcls.reductions import (
     ForcedValueStep,
     VariableEliminationStep,
     _elimination_bound,
-    _first_pure,
     dp_resolve,
     is_blocked,
     is_singular,
@@ -151,7 +151,7 @@ class TestPureVariableElimination:
             F = oracles.random_instance(rng, max_n=5, max_c=9)
             G = pure_variable_elimination(F)
             assert_sat_equivalent(F, G)
-            assert _first_pure(G) is None
+            assert oracles.reference_first_pure(G) is None
             assert all(G.multiplicity(c) <= F.multiplicity(c)
                        for c in G.clauses())
 
@@ -389,7 +389,7 @@ class TestRReduction:
             assert_sat_equivalent(F, G)
             assert max_deficiency(G).value <= max_deficiency(F).value
             assert is_matching_lean(G)
-            assert _first_pure(G) is None
+            assert oracles.reference_first_pure(G) is None
             assert not any(is_singular(G, v) for v in G.var_set())
             if oracles.brute_satisfiable(F):
                 assert_lift_recovers_model(F, G, steps)
@@ -460,15 +460,6 @@ def reference_is_singular(F, v):
                for i in range(len(counts)))
 
 
-def reference_first_pure(F):
-    for v in sorted(F.var_set()):
-        used = F.values_of(v)
-        for e in F.table.domain(v):
-            if e not in used:
-                return v, e
-    return None
-
-
 def reference_drop_one_copy(F, clause):
     items = dict(F.items())
     items[clause] -= 1
@@ -487,9 +478,11 @@ def reference_redundant_clause_on(F, v):
     return None
 
 
-def reference_r_reduce(F):
+def reference_r_reduce(F, fired=None):
     """The rescanning r-reduction loop: every rule re-tested on every
-    variable after every step, redundancy by one elimination per clause."""
+    variable after every step, redundancy by one elimination per clause.
+    Each rule that fires is counted in ``fired``."""
+    fired = Counter() if fired is None else fired
     steps = []
     while True:
         hit = None
@@ -501,32 +494,38 @@ def reference_r_reduce(F):
                     break
         if hit is not None:
             v, clause = hit
+            fired["redundant copy"] += 1
             steps.append(VariableEliminationStep(F, v))
             F = reference_drop_one_copy(F, clause)
             continue
-        pure = reference_first_pure(F)
+        pure = oracles.reference_first_pure(F)
         if pure is not None:
+            fired["pure"] += 1
             phi = assign(pure)
             steps.append(AutarkyStep(phi))
             F = apply(phi, F)
             continue
         phi = quasi_maximal_matching_autarky(F)
         if phi:
+            fired["matching autarky"] += 1
             steps.append(AutarkyStep(phi))
             F = apply(phi, F)
             continue
         v = next((w for w in sorted(F.var_set()) if reference_is_singular(F, w)), None)
         if v is None:
             return F, steps
+        fired["singular DP"] += 1
         steps.append(VariableEliminationStep(F, v))
         G = reference_dp(F, v)
         assert G.c == F.c - (F.table.domain_size(v) - 1)
         F = G
 
 
-def reference_s_reduce(F, first_round):
+def reference_s_reduce(F, first_round, fired=None):
     """The s-reduction loop over reference_r_reduce, whose first round on F
-    is given."""
+    is given; a fresh r-reduction follows each surplus-one autarky.  Each
+    rule that fires is counted in ``fired``."""
+    fired = Counter() if fired is None else fired
     steps = []
     F, sub = first_round
     while True:
@@ -536,9 +535,10 @@ def reference_s_reduce(F, first_round):
         found = surplus(F, at_most=2)
         if found.value >= 2:
             return F, steps
+        fired["surplus one"] += 1
         sigma = sat_bounded_deficiency(restrict(F, found.witness)).witness
         steps.append(AutarkyStep(sigma))
-        F, sub = reference_r_reduce(apply(sigma, F))
+        F, sub = reference_r_reduce(apply(sigma, F), fired)
 
 
 def step_record(step):
@@ -560,10 +560,44 @@ def drop_one_clause(F, rng):
     return F.with_clauses({c: 1 for c in F.clauses() if c != clause})
 
 
+PARITY_ROWS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
+def parity_block(variables=(1, 2, 3), swapped=False):
+    """One clause per even-parity row over three boolean variables, the
+    first variable's values swapped when asked.  Every value occurs twice,
+    so no variable is pure or singular; the block is matching lean with
+    surplus 1, so only the surplus-one rule of the s-reduction applies."""
+    a, b, c = variables
+    return [Clause([(a, x ^ swapped), (b, y), (c, z)]) for x, y, z in PARITY_ROWS]
+
+
+def parity_samples(rng, rounds):
+    """Per round, in a random orientation: the parity block alone, with some
+    multiplicities of 2, on fresh variables next to a random instance, and
+    tied to that instance by one extra literal (when it has variables)."""
+    booleans = VariableTable({1: 2, 2: 2, 3: 2})
+    for _ in range(rounds):
+        swapped = rng.random() < 0.5
+        block = parity_block(swapped=swapped)
+        yield MultiClauseSet(booleans, block)
+        yield MultiClauseSet(booleans, {c: rng.choice((1, 2)) for c in block})
+        F = oracles.random_instance(rng, max_n=4, max_dom=3, max_c=6)
+        fresh = tuple(range(len(F.table) + 1, len(F.table) + 4))
+        table = F.table.merge(VariableTable({v: 2 for v in fresh}))
+        block = parity_block(fresh, swapped)
+        yield F + MultiClauseSet(table, block)
+        if F.var_set():
+            w = rng.choice(sorted(F.var_set()))
+            i = rng.randrange(len(block))
+            block[i] = Clause([*block[i], (w, rng.randrange(table.domain_size(w)))])
+            yield F + MultiClauseSet(table, block)
+
+
 class TestReductionAgainstReference:
-    """The worklist r-reduction gives the same result and the same step list
-    (kind, variable, instance before the step, assignment) as the loop that
-    rescans every variable after every step."""
+    """The worklist reduction loop gives the same result and the same step
+    list (kind, variable, instance before the step, assignment) as the loops
+    that rescan every variable after every step."""
 
     def samples(self):
         rng = random.Random(9090)
@@ -580,17 +614,43 @@ class TestReductionAgainstReference:
             yield image
             if image.c > 1:
                 yield drop_one_clause(image, rng)
+        yield from parity_samples(rng, 400)
 
     def test_r_and_s_reduction_logs(self):
-        count = 0
+        count = surplus_one_samples = 0
+        fired = Counter()
         for F in self.samples():
             count += 1
-            want = reference_r_reduce(F)
+            sample_fired = Counter()
+            want = reference_r_reduce(F, sample_fired)
             G, steps = r_reduction_with_log(F)
             assert_same_reduction((G, list(steps)), want)
             G, steps = s_reduction_with_log(F)
-            assert_same_reduction((G, list(steps)), reference_s_reduce(F, want))
+            assert_same_reduction((G, list(steps)),
+                                  reference_s_reduce(F, want, sample_fired))
+            surplus_one_samples += bool(sample_fired["surplus one"])
+            fired += sample_fired
         assert count >= 3000
+        assert surplus_one_samples >= 100
+        # each rule fires often enough to be compared (seen: 2 820 redundant
+        # copies, 6 756 pure, 17 matching autarkies, 1 258 singular DP and
+        # 910 surplus-one autarkies)
+        floors = {"redundant copy": 1000, "pure": 3000, "matching autarky": 10,
+                  "singular DP": 500, "surplus one": 400}
+        assert all(fired[rule] >= floor for rule, floor in floors.items()), fired
+
+    def test_pure_variable_elimination(self):
+        for F in self.samples():
+            G = pure_variable_elimination(F)
+            H = oracles.reference_pure_variable_elimination(F)
+            assert G == H and G.items() == H.items()
+
+    def test_parity_block_needs_the_surplus_one_rule(self):
+        F = MultiClauseSet(VariableTable({1: 2, 2: 2, 3: 2}), parity_block())
+        assert r_reduction_with_log(F) == (F, ())
+        G, steps = s_reduction_with_log(F)
+        assert G == top(F.table)
+        assert steps == (AutarkyStep(assign((1, 0), (2, 1), (3, 0))),)
 
     def test_redundant_copy_of_a_duplicated_clause(self):
         # {1:0} twice and {1:1}: dropping a copy of the doubled unit keeps the

@@ -16,21 +16,21 @@ from gcls.core import (
 from gcls.encode import vdw_instance
 from gcls.matching import (
     matching_lean_kernel,
+    matching_satisfying_assignment,
     max_deficiency,
     quasi_maximal_matching_autarky,
 )
 from gcls.musat import tree_to_clause_set
 from gcls.reductions import (
     AutarkyStep,
-    _first_pure,
     lift_through_steps,
     pure_variable_elimination,
+    s_reduction_with_log,
 )
 from gcls.satdec import (
     BruteForceCapExceeded,
     FptResult,
     _Walk,
-    _branch_and_reduce,
     assignment_space,
     brute_force_sat,
     decide,
@@ -48,7 +48,7 @@ from gcls.translate import direct_weak, lift_assignment
 import oracles
 from test_core import mixed_example
 from test_musat import horn_chain, random_tree
-from test_reductions import full_combinations
+from test_reductions import full_combinations, parity_samples
 
 
 def bottom_only():
@@ -356,7 +356,7 @@ def reference_pure_fixpoint(F):
     its autarky steps."""
     steps = []
     while True:
-        hit = _first_pure(F)
+        hit = oracles.reference_first_pure(F)
         if hit is None:
             return F, steps
         phi = assign(hit)
@@ -378,10 +378,21 @@ def reference_sat_fpt(F):
             break
         steps.append(AutarkyStep(phi))
         G = apply(phi, G)
-    sat, model, leaves = _branch_and_reduce(G)
+    sat, model, leaves = oracles.reference_branch_and_reduce(G)
     if not sat:
         return FptResult(False, None, leaves)
     model = lift_through_steps(steps, model)
+    return FptResult(True, lift_assignment(translation, model), leaves)
+
+
+def reference_node_sat_fpt(F):
+    """sat_fpt with the former search node, which re-tested matching
+    satisfiability and read the slack off ``measures``."""
+    translation = direct_weak(F)
+    sat, model, leaves = oracles.reference_branch_and_reduce(
+        translation.boolean_cnf)
+    if not sat:
+        return FptResult(False, None, leaves)
     return FptResult(True, lift_assignment(translation, model), leaves)
 
 
@@ -397,6 +408,44 @@ class TestFptDecision:
             image = tree_to_clause_set(random_tree(rng, 15))
             yield image
             yield without_one_clause(rng, image)
+
+    def node_samples(self):
+        """fpt_samples, the parity family, and instances on which the search
+        branches: denser random ones with small domains and vdW(2,3,n)."""
+        yield from self.fpt_samples()
+        rng = random.Random(614)
+        yield from parity_samples(rng, 100)
+        for _ in range(200):
+            yield oracles.random_instance(rng, max_n=7, max_dom=2, max_c=24,
+                                          allow_empty_clause=False)
+        for n in range(3, 9):
+            yield vdw_instance(2, 3, n)
+
+    def test_same_search_as_the_former_node(self):
+        unsat = branched = 0
+        for F in self.node_samples():
+            result = sat_fpt(F)
+            assert result == reference_node_sat_fpt(F), dict(F.items())
+            unsat += not result.satisfiable
+            branched += result.node_count > 1
+        assert unsat >= 100 and branched >= 30  # seen: 371 and 54 of 979
+
+    def test_s_reduced_nodes_are_matching_satisfiable_only_when_empty(
+            self, monkeypatch):
+        nodes = []
+
+        def recorded(G):
+            reduced = s_reduction_with_log(G)
+            nodes.append(reduced[0])
+            return reduced
+
+        monkeypatch.setattr("gcls.satdec.s_reduction_with_log", recorded)
+        for F in self.node_samples():
+            sat_fpt(F)
+        for G in nodes:
+            assert (matching_satisfying_assignment(G) is not None) == (not G), G
+        empty = sum(not G for G in nodes)
+        assert empty >= 300 and len(nodes) - empty >= 300  # seen: 608 of 1 260
 
     def test_agrees_with_the_prelude_reference(self):
         unsat = 0
