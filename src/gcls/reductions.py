@@ -8,16 +8,17 @@ redundant clause copy on a singular variable, pure-variable elimination,
 matching-autarky reduction, singular DP and the surplus-one autarky.
 
 Every reduction keeps satisfiability.  Both reductions also come in a
-``*_with_log`` form returning the steps performed; each step can ``lift`` a
-model of its result back to a model of its input, so a witness found on the
-reduced instance can be rebuilt for the original one.
+``*_with_log`` form returning the steps performed, each recording only what
+lifting reads.  ``lift_through_steps`` rebuilds a witness found on the
+reduced instance for the original one in one dict, which each step updates
+in place, binding just the variables that decide each value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     BOT,
@@ -30,7 +31,6 @@ from .core import (
     _Trusted,
     apply,
     assign,
-    compose,
     rename,
     restrict,
 )
@@ -41,13 +41,14 @@ from .matching import quasi_maximal_matching_autarky, surplus
 
 
 class ForcedValueStep(NamedTuple):
-    """A variable with a one-value domain was assigned and crossed out."""
+    """``var`` was assigned ``value`` and crossed out: a one-value domain in
+    unit-clause propagation, or a branch of ``satdec.sat_fpt``."""
 
     var: int
     value: int
 
-    def lift(self, psi: PartialAssignment) -> PartialAssignment:
-        return compose(psi, assign((self.var, self.value)))
+    def lift(self, bindings: Dict[int, int]) -> None:
+        bindings[self.var] = self.value
 
 
 class DomainShrinkStep(NamedTuple):
@@ -61,15 +62,13 @@ class DomainShrinkStep(NamedTuple):
     new_var: int
     excluded_value: int
 
-    def lift(self, psi: PartialAssignment) -> PartialAssignment:
-        bindings = dict(psi)
+    def lift(self, bindings: Dict[int, int]) -> None:
         packed = bindings.pop(self.new_var, None)
         if packed is None:
             value = 1 if self.excluded_value == 0 else 0
         else:
             value = packed if packed < self.excluded_value else packed + 1
         bindings[self.old_var] = value
-        return PartialAssignment(bindings)
 
 
 class AutarkyStep(NamedTuple):
@@ -77,57 +76,52 @@ class AutarkyStep(NamedTuple):
 
     assignment: PartialAssignment
 
-    def lift(self, psi: PartialAssignment) -> PartialAssignment:
-        return compose(psi, self.assignment)
+    def lift(self, bindings: Dict[int, int]) -> None:
+        bindings.update(self.assignment)
 
 
 class VariableEliminationStep(NamedTuple):
-    """A resolution step on ``var`` turned ``before`` into the next instance.
+    """A resolution step on the singular ``var``, whose ``clauses`` just
+    before it are all that decide its value when lifting.
 
-    Covers both flavours used by the reduction loops: replacing the clauses
-    on a singular variable by their resolvents, and dropping one clause copy
-    whose removal leaves the resolvent set unchanged.
+    Covers both flavours used by the reduction loop: replacing the clauses
+    on var by their resolvents, and dropping one clause copy whose removal
+    leaves the resolvent set unchanged.
     """
 
-    before: MultiClauseSet
     var: int
+    clauses: FrozenSet[Clause]
 
-    def lift(self, psi: PartialAssignment) -> PartialAssignment:
-        return extend_through_elimination(self.before, self.var, psi)
+    def lift(self, bindings: Dict[int, int]) -> None:
+        """Bind the unbound variables of the clauses to 0, then var to the
+        smallest value none of whose clauses has all other literals
+        falsified.  Every value of a singular var occurs in the clauses, and
+        one qualifies whenever the bindings satisfy every well-defined
+        resolvent on var; otherwise ValueError.
+        """
+        v = self.var
+        for clause in self.clauses:
+            for w in clause._by_var:
+                bindings.setdefault(w, 0)
+        free = {clause._by_var[v] for clause in self.clauses}
+        free -= {clause._by_var[v] for clause in self.clauses
+                 if all(bindings[w] == e for w, e in clause._by_var.items() if w != v)}
+        if not free:
+            raise ValueError(
+                f"assignment does not cover the resolvents on variable {v}")
+        bindings[v] = min(free)
 
 
 def lift_through_steps(steps, psi: PartialAssignment) -> PartialAssignment:
-    """Turn a model of the last instance into a model of the first one."""
-    for step in reversed(steps):
-        psi = step.lift(psi)
-    return psi
+    """Turn a model of the last instance into a model of the first one.
 
-
-def extend_through_elimination(F: MultiClauseSet, v: int,
-                               psi: PartialAssignment) -> PartialAssignment:
-    """Extend a model of the resolvents on v (and the v-free part) to F.
-
-    psi is completed over var(F) - {v} with value 0 (completions never lose
-    satisfied clauses), then v gets the smallest value all of whose clauses
-    are already satisfied elsewhere.  Such a value exists whenever psi
-    satisfies every well-defined resolvent on v, because a value without one
-    would contribute a parent clause to an unsatisfied-or-clashing resolvent.
+    psi is copied once into a dict that each step, last to first, updates
+    in place; one assignment is built at the end.
     """
-    bindings = {w: e for w, e in psi.items() if w != v}
-    for w in sorted(F.var_set()):
-        if w != v:
-            bindings.setdefault(w, 0)
-    base = PartialAssignment(bindings)
-    by_value: Dict[int, List[Clause]] = {}
-    for clause in F.clauses():
-        if clause.has_var(v):
-            by_value.setdefault(clause.value_on(v), []).append(
-                clause.without_vars((v,)))
-    for value in F.table.domain(v):
-        if all(base.satisfies_clause(rest) for rest in by_value.get(value, ())):
-            bindings[v] = value
-            return PartialAssignment(bindings)
-    raise ValueError(f"assignment does not cover the resolvents on variable {v}")
+    bindings = dict(psi)
+    for step in reversed(steps):
+        step.lift(bindings)
+    return PartialAssignment(bindings)
 
 
 # -- unit-clause propagation --------------------------------------------------
@@ -478,7 +472,7 @@ def _r_reduce_logged(F: MultiClauseSet,
         state.retest_dirty()
         if state.redundant:
             v = min(state.redundant)
-            steps.append(VariableEliminationStep(state.instance(), v))
+            steps.append(VariableEliminationStep(v, frozenset().union(*state.occ[v])))
             clause = state.redundant[v]
             state.change({clause: state.mult[clause] - 1})
             lean = False
@@ -498,7 +492,7 @@ def _r_reduce_logged(F: MultiClauseSet,
         lean = True
         if state.singular:
             v = min(state.singular)
-            steps.append(VariableEliminationStep(state.instance(), v))
+            steps.append(VariableEliminationStep(v, frozenset().union(*state.occ[v])))
             update = state.singular_step(v)
             # no clause copy on v is redundant, so the step is non-degenerate
             assert update is not None

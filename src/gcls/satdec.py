@@ -30,7 +30,7 @@ from .matching import (
     max_deficiency,
     quasi_maximal_matching_autarky,
 )
-from .reductions import lift_through_steps, s_reduction_with_log
+from .reductions import ForcedValueStep, lift_through_steps, s_reduction_with_log
 
 #: Default ceiling on the assignment space brute_force_sat will enumerate.
 DEFAULT_BRUTE_CAP = 20_000_000
@@ -297,30 +297,6 @@ class FptResult(NamedTuple):
     node_count: int
 
 
-def _branch_and_reduce(
-        G: MultiClauseSet) -> Tuple[bool, Optional[PartialAssignment], int]:
-    """Decide a boolean instance; returns (sat, model, explored leaves)."""
-    G, steps = s_reduction_with_log(G)
-    # s-reduced G is matching lean, so matching satisfiable only when empty:
-    # with a clause, a matching-satisfying assignment would be a non-trivial
-    # matching autarky (and the empty clause has no edge to match)
-    if not G:
-        return True, lift_through_steps(steps, EMPTY_ASSIGNMENT), 1
-    if BOT in G:
-        return False, None, 1
-    # minimal slack: occurrences of w minus those of its most frequent value
-    counts = G.value_count_table()
-    v = min(counts, key=lambda w: (sum(counts[w]) - max(counts[w]), w))
-    leaves = 0
-    for e in G.table.domain(v):
-        phi = assign((v, e))
-        sat, model, below = _branch_and_reduce(apply(phi, G))
-        leaves += below
-        if sat:
-            return True, lift_through_steps(steps, compose(model, phi)), leaves
-    return False, None, leaves
-
-
 def sat_fpt(F: MultiClauseSet) -> FptResult:
     """Branch-and-reduce satisfiability decision via the boolean translation.
 
@@ -329,18 +305,45 @@ def sat_fpt(F: MultiClauseSet) -> FptResult:
     (whose loop already eliminates pure variables and applies the matching
     autarky), answers SAT when no clause is left (the only matching-
     satisfiable s-reduced instance), and otherwise branches a variable of
-    minimal slack into both values.  Each branch strictly decreases the
-    maximal deficiency, so the number of explored leaves (node_count) is at
-    most 2**d for d the maximal deficiency of the reduced root.  The witness
-    is an assignment over the original variables.
+    minimal slack into both values, 0 first.  Each branch strictly
+    decreases the maximal deficiency, so the number of explored leaves
+    (node_count) is at most 2**d for d the maximal deficiency of the
+    reduced root (Szeider, JCSS 2004).
+
+    The search loops over an explicit stack of (parent instance, branch,
+    trail length).  One trail logs the reduction steps and branches (as
+    ``ForcedValueStep``) from the root; taking an entry cuts it back.  The
+    first empty node lifts the whole trail once, to the original variables.
     """
     from .translate import direct_weak, lift_assignment
 
     translation = direct_weak(F)
-    sat, model, leaves = _branch_and_reduce(translation.boolean_cnf)
-    if not sat:
-        return FptResult(False, None, leaves)
-    return FptResult(True, lift_assignment(translation, model), leaves)
+    trail: List = []
+    stack = [(translation.boolean_cnf, None, 0)]
+    leaves = 0
+    while stack:
+        G, branch, mark = stack.pop()
+        if branch is not None:
+            trail[mark:] = [branch]
+            G = apply(assign(branch), G)
+        G, steps = s_reduction_with_log(G)
+        trail.extend(steps)
+        # s-reduced G is matching lean, so matching satisfiable only when empty:
+        # with a clause, a matching-satisfying assignment would be a non-trivial
+        # matching autarky (and the empty clause has no edge to match)
+        if not G:
+            model = lift_through_steps(trail, EMPTY_ASSIGNMENT)
+            return FptResult(True, lift_assignment(translation, model), leaves + 1)
+        if BOT in G:
+            leaves += 1
+            continue
+        # minimal slack: occurrences of w minus those of its most frequent value
+        counts = G.value_count_table()
+        v = min(counts, key=lambda w: (sum(counts[w]) - max(counts[w]), w))
+        mark = len(trail)
+        for e in reversed(G.table.domain(v)):
+            stack.append((G, ForcedValueStep(v, e), mark))
+    return FptResult(False, None, leaves)
 
 
 # -- implication, irredundancy, minimal unsatisfiability -----------------------

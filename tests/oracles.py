@@ -504,3 +504,39 @@ def reference_branch_and_reduce(G: MultiClauseSet):
         if sat:
             return True, lift_through_steps(steps, compose(model, phi)), leaves
     return False, None, leaves
+
+
+def reference_lift_through_steps(records, psi: PartialAssignment) -> PartialAssignment:
+    """The former reductions.lift_through_steps with its
+    extend_through_elimination: a model of the last instance to a model of
+    the first, one composition or extension per record, last to first.
+
+    A record is the assignment of an autarky step, or (instance before,
+    variable) of a variable-elimination step.  Such a step completes psi
+    over var(instance) - {v} with value 0 (completions never lose satisfied
+    clauses), then gives v the smallest value all of whose clauses are
+    already satisfied elsewhere; ValueError when no value qualifies.
+    """
+    for record in reversed(records):
+        if isinstance(record, PartialAssignment):
+            psi = compose(psi, record)
+            continue
+        F, v = record
+        bindings = {w: e for w, e in psi.items() if w != v}
+        for w in sorted(F.var_set()):
+            if w != v:
+                bindings.setdefault(w, 0)
+        base = PartialAssignment(bindings)
+        by_value = {}
+        for clause in F.clauses():
+            if clause.has_var(v):
+                by_value.setdefault(clause.value_on(v), []).append(
+                    clause.without_vars((v,)))
+        for value in F.table.domain(v):
+            if all(base.satisfies_clause(rest) for rest in by_value.get(value, ())):
+                bindings[v] = value
+                psi = PartialAssignment(bindings)
+                break
+        else:
+            raise ValueError(f"assignment does not cover the resolvents on variable {v}")
+    return psi

@@ -405,19 +405,27 @@ class TestDerivedResults:
             for v in variables:
                 self.assert_validated_equal(_dp(F, v))
 
-    def test_reduction_instances_and_dropping_a_last_copy(self):
-        from gcls.reductions import VariableEliminationStep, r_reduction_with_log
+    def test_reduction_instances_and_dropping_a_last_copy(self, monkeypatch):
+        from gcls.reductions import _ReductionState, r_reduction_with_log
 
+        instances = []
+        change = _ReductionState.change
+
+        def recorded(state, multiplicities):
+            change(state, multiplicities)
+            instances.append(state.instance())
+
+        monkeypatch.setattr(_ReductionState, "change", recorded)
         rng = random.Random(814)
         dropped_last_copy = 0
         for _ in range(300):
             F = oracles.random_instance(rng, max_n=5, max_c=10)
-            G, steps = r_reduction_with_log(F)
+            instances[:] = [F]
+            G, _ = r_reduction_with_log(F)
             self.assert_validated_equal(G)
-            before = [s.before for s in steps if isinstance(s, VariableEliminationStep)]
-            for H in before:
+            for H in instances:
                 self.assert_validated_equal(H)
-            for H, K in zip(before, before[1:]):
+            for H, K in zip(instances, instances[1:]):
                 gone = [c for c, m in H.items() if m == 1 and c not in K]
                 if K.c == H.c - 1 and len(gone) == 1 and all(c in H for c in K.clauses()):
                     dropped_last_copy += 1

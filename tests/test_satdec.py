@@ -483,9 +483,15 @@ class TestFptDecision:
 
     def test_agrees_with_brute_force_within_the_leaf_budget(self):
         rng = random.Random(609)
-        unsat = 0
-        for _ in range(120):
-            F = oracles.random_instance(rng, max_n=4, max_dom=3, max_c=7)
+        # the small multi-valued instances are decided at the root; the
+        # denser boolean ones make the search branch
+        samples = [oracles.random_instance(rng, max_n=4, max_dom=3, max_c=7)
+                   for _ in range(120)]
+        samples += [oracles.random_instance(rng, max_n=7, max_dom=2, max_c=24,
+                                            allow_empty_clause=False)
+                    for _ in range(200)]
+        unsat = branched = 0
+        for F in samples:
             result = sat_fpt(F)
             assert result.satisfiable == oracles.brute_satisfiable(F)
             assert result.node_count <= reduced_root_budget(F)
@@ -494,7 +500,8 @@ class TestFptDecision:
                            for c in F.clauses())
             else:
                 unsat += 1
-        assert unsat >= 25
+            branched += result.node_count > 1
+        assert unsat >= 25 and branched >= 30  # seen: 182 and 43 of 320
 
     def test_all_three_methods_agree(self):
         rng = random.Random(610)
