@@ -69,7 +69,8 @@ def _fail(line: int, column: int, message: str) -> None:
 
 
 def _tokens(raw: str) -> List[Tuple[int, str]]:
-    """The (column, token) pairs of one line; columns are 1-based."""
+    """The (column, token) pairs of one line; columns are 1-based.  The
+    tokens are those of ``raw.split()``: both split on ``str.isspace``."""
     return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw)]
 
 
@@ -78,19 +79,13 @@ def _column(raw: str, index: int) -> int:
     return _tokens(raw)[index][0]
 
 
-def _is_comment(raw: str) -> bool:
-    stripped = raw.lstrip()
-    return stripped.startswith("c") and (len(stripped) == 1
-                                         or stripped[1].isspace())
-
-
-def _parse_header(tokens: List[Tuple[int, str]], line: int,
-                  kind: str) -> Tuple[int, int]:
+def _parse_header(raw: str, line: int, kind: str) -> Tuple[int, int]:
+    tokens = _tokens(raw)
     if len(tokens) != 4 or tokens[0][1] != "p" or tokens[1][1] != kind:
         _fail(line, tokens[0][0], f"bad header: expected 'p {kind} <n> <m>'")
     counts = []
     for column, token in tokens[2:]:
-        if not token.isdigit():
+        if not token.isdecimal():  # int() reads exactly the decimal digits
             _fail(line, column, f"bad header: {token!r} is not a count")
         counts.append(int(token))
     return counts[0], counts[1]
@@ -111,43 +106,36 @@ def parse_gcls(text: str) -> MultiClauseSet:
     header: Optional[Tuple[int, int, int]] = None  # (line, nvars, nclauses)
     sizes: Dict[int, int] = {}
 
-    def require_header(line: int, column: int) -> Tuple[int, int, int]:
-        if header is None:
-            _fail(line, column, "missing 'p gcls' header")
-        return header
-
-    # Clause lines keep their tokens for the clause pass; a token's column
-    # is only worked out for a diagnostic.
+    # Lines are split once; a token's column is only worked out for a
+    # diagnostic.  Clause lines keep their tokens for the clause pass.
     body: List[Tuple[int, str, List[str]]] = []
     for ln, raw in enumerate(lines, 1):
-        words = raw.split()  # the same tokens as _tokens, without columns
-        if not words or _is_comment(raw):
+        words = raw.split()
+        if not words or words[0] == "c":
             continue
-        if words[0] not in ("p", "d"):
-            if header is None:
-                _fail(ln, _column(raw, 0), "missing 'p gcls' header")
-            body.append((ln, raw, words))
-            continue
-        tokens = _tokens(raw)
-        head_col, head = tokens[0]
+        head = words[0]
         if head == "p":
             if header is not None:
-                _fail(ln, head_col, "duplicate header")
-            header = (ln, *_parse_header(tokens, ln, "gcls"))
-        elif head == "d":
-            _, nvars, _ = require_header(ln, head_col)
-            if len(tokens) != 3 or not all(t.isdigit() for _, t in tokens[1:]):
-                _fail(ln, head_col, "bad declaration: expected 'd <var> <size>'")
-            (var_col, var_tok), (size_col, size_tok) = tokens[1], tokens[2]
-            var, size = int(var_tok), int(size_tok)
-            if not 1 <= var <= nvars:
-                _fail(ln, var_col,
-                      f"undeclared variable {var}: header allows 1..{nvars}")
-            if size < 1:
-                _fail(ln, size_col, "domain size must be at least 1")
-            if sizes.setdefault(var, size) != size:
-                _fail(ln, var_col,
-                      f"variable {var} declared twice with different sizes")
+                _fail(ln, _column(raw, 0), "duplicate header")
+            header = (ln, *_parse_header(raw, ln, "gcls"))
+            continue
+        if header is None:
+            _fail(ln, _column(raw, 0), "missing 'p gcls' header")
+        if head != "d":
+            body.append((ln, raw, words))
+            continue
+        nvars = header[1]
+        if len(words) != 3 or not (words[1].isdecimal() and words[2].isdecimal()):
+            _fail(ln, _column(raw, 0), "bad declaration: expected 'd <var> <size>'")
+        var, size = int(words[1]), int(words[2])
+        if not 1 <= var <= nvars:
+            _fail(ln, _column(raw, 1),
+                  f"undeclared variable {var}: header allows 1..{nvars}")
+        if size < 1:
+            _fail(ln, _column(raw, 2), "domain size must be at least 1")
+        if sizes.setdefault(var, size) != size:
+            _fail(ln, _column(raw, 1),
+                  f"variable {var} declared twice with different sizes")
 
     if header is None:
         _fail(len(lines) + 1, 1, "missing 'p gcls' header")
@@ -198,16 +186,26 @@ def parse_gcls(text: str) -> MultiClauseSet:
     return MultiClauseSet(VariableTable(sizes), multiplicities)
 
 
+def _clause_lines(F: MultiClauseSet,
+                  names: Dict[int, Sequence[str]]) -> List[str]:
+    """One line per clause occurrence of F: clauses in canonical order,
+    literals ascending, literal (v, e) printed as names[v][e].  Each
+    clause's literals are sorted once, and that sort is also its key."""
+    lines: List[str] = []
+    for key, mult in sorted([(c.sort_key(), m) for c, m in F._clauses.items()]):
+        body = " ".join([names[v][e] for v, e in key])
+        lines.extend([f"{body} 0" if body else "0"] * mult)
+    return lines
+
+
 def emit_gcls(F: MultiClauseSet) -> str:
     """Canonical text for F: header, one declaration per table variable,
     one line per clause occurrence with literals ascending by variable."""
-    variables = sorted(F.table.variables())
-    lines = [f"p gcls {variables[-1] if variables else 0} "
-             f"{sum(m for _, m in F.items())}"]
-    lines.extend(f"d {v} {F.table.domain_size(v)}" for v in variables)
-    for clause, mult in F.items():
-        body = " ".join(f"{lit.var}:{lit.value}" for lit in sorted(clause))
-        lines.extend([f"{body} 0" if body else "0"] * mult)
+    sizes = F.table._sizes  # ascending by variable
+    lines = [f"p gcls {max(sizes, default=0)} {F.c}"]
+    lines.extend([f"d {v} {size}" for v, size in sizes.items()])
+    names = {v: [f"{v}:{e}" for e in range(size)] for v, size in sizes.items()}
+    lines.extend(_clause_lines(F, names))
     return "\n".join(lines) + "\n"
 
 
@@ -237,14 +235,10 @@ def emit_dimacs(source: Union[TranslationResult, DimacsFile]) -> str:
     if isinstance(source, TranslationResult):
         source = DimacsFile(_mapping_comments(source), source.boolean_cnf)
     comments, cnf = source
-    variables = sorted(cnf.table.variables())
+    variables = cnf.table._sizes
     lines = list(comments)
-    lines.append(f"p cnf {variables[-1] if variables else 0} "
-                 f"{sum(m for _, m in cnf.items())}")
-    for clause, mult in cnf.items():
-        body = " ".join(str(lit.var) if lit.value == 0 else str(-lit.var)
-                        for lit in sorted(clause))
-        lines.extend([f"{body} 0" if body else "0"] * mult)
+    lines.append(f"p cnf {max(variables, default=0)} {cnf.c}")
+    lines.extend(_clause_lines(cnf, {b: (str(b), str(-b)) for b in variables}))
     return "\n".join(lines) + "\n"
 
 
@@ -257,21 +251,21 @@ def parse_dimacs(text: str) -> DimacsFile:
     lines = text.splitlines()
     comments: List[str] = []
     header: Optional[Tuple[int, int, int]] = None
-    body: List[Tuple[int, List[Tuple[int, str]]]] = []
+    body: List[Tuple[int, str, List[str]]] = []
     for ln, raw in enumerate(lines, 1):
-        tokens = _tokens(raw)
-        if not tokens:
+        words = raw.split()
+        if not words:
             continue
-        if _is_comment(raw):
+        if words[0] == "c":
             comments.append(raw.rstrip("\r\n"))
-        elif tokens[0][1] == "p":
+        elif words[0] == "p":
             if header is not None:
-                _fail(ln, tokens[0][0], "duplicate header")
-            header = (ln, *_parse_header(tokens, ln, "cnf"))
+                _fail(ln, _column(raw, 0), "duplicate header")
+            header = (ln, *_parse_header(raw, ln, "cnf"))
         else:
             if header is None:
-                _fail(ln, tokens[0][0], "missing 'p cnf' header")
-            body.append((ln, tokens))
+                _fail(ln, _column(raw, 0), "missing 'p cnf' header")
+            body.append((ln, raw, words))
     if header is None:
         _fail(len(lines) + 1, 1, "missing 'p cnf' header")
     header_line, nvars, nclauses = header
@@ -279,12 +273,12 @@ def parse_dimacs(text: str) -> DimacsFile:
     multiplicities = _Trusted()  # every literal is checked as it is read
     count = 0
     current: Dict[int, int] = {}
-    last = (header_line, 1)
-    for ln, tokens in body:
-        for column, token in tokens:
-            last = (ln, column)
-            if re.fullmatch(r"-?\d+", token) is None:
-                _fail(ln, column, f"bad token {token!r}: expected an integer")
+    for ln, raw, words in body:
+        for index, token in enumerate(words):
+            # an optional minus, then decimal digits (int() reads them all)
+            if not (token[1:] if token[:1] == "-" else token).isdecimal():
+                _fail(ln, _column(raw, index),
+                      f"bad token {token!r}: expected an integer")
             lit = int(token)
             if lit == 0:
                 clause = _clause(current)
@@ -294,12 +288,15 @@ def parse_dimacs(text: str) -> DimacsFile:
                 continue
             var, value = (lit, 0) if lit > 0 else (-lit, 1)
             if var > nvars:
-                _fail(ln, column,
+                _fail(ln, _column(raw, index),
                       f"undeclared variable {var}: header allows 1..{nvars}")
             if current.setdefault(var, value) != value:
-                _fail(ln, column, f"clashing literals on variable {var}")
+                _fail(ln, _column(raw, index),
+                      f"clashing literals on variable {var}")
     if current:
-        _fail(*last, "unterminated clause at end of input")
+        ln, raw, words = body[-1]
+        _fail(ln, _column(raw, len(words) - 1),
+              "unterminated clause at end of input")
     if count != nclauses:
         _fail(header_line, 1, f"bad header counts: header announces "
                               f"{nclauses} clauses, file has {count}")

@@ -27,7 +27,9 @@ into one of block variables, lift_assignment inverts that, block by block.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .core import (
     Clause,
@@ -35,6 +37,8 @@ from .core import (
     MultiClauseSet,
     PartialAssignment,
     VariableTable,
+    _clause,
+    _Trusted,
 )
 from .satdec import brute_force_sat
 
@@ -71,31 +75,30 @@ class TranslationResult(NamedTuple):
 _DIRECT_SCHEMES = ("direct-weak", "direct-strong")
 
 
-def _pos(b: int) -> Literal:
-    return Literal(b, 0)
-
-
-def _neg(b: int) -> Literal:
-    return Literal(b, 1)
+def _gadget_clause(literals: Sequence[Literal]) -> Clause:
+    """A gadget clause over distinct block variables: no clash can occur,
+    so the clause keeps the given literal objects without re-checking."""
+    return _clause(dict(literals), literals)
 
 
 # -- gadget builders -----------------------------------------------------------
 
 
 def _direct_gadget(block: Sequence[int], strong: bool) -> VariableGadget:
-    by_value = tuple(Clause([_pos(b)]) for b in block)
-    extra = [Clause(_neg(b) for b in block)]
+    pos = [Literal(b, 0) for b in block]
+    by_value = tuple(_gadget_clause([lit]) for lit in pos)
+    extra = [_gadget_clause([Literal(b, 1) for b in block])]
     if strong:
-        extra.extend(Clause([_pos(a), _pos(b)])
-                     for a, b in itertools.combinations(block, 2))
+        extra.extend(_gadget_clause(pair) for pair in itertools.combinations(pos, 2))
     return VariableGadget(tuple(block), by_value, tuple(extra))
 
 
 def _nested_chain(block: Sequence[int], k: int) -> Tuple[Clause, ...]:
     """The Horn chain E_1 .. E_k over k-1 boolean variables."""
-    chain = [Clause([_neg(b) for b in block[:i]] + [_pos(block[i])])
+    neg = [Literal(b, 1) for b in block]
+    chain = [_gadget_clause(neg[:i] + [Literal(block[i], 0)])
              for i in range(k - 1)]
-    chain.append(Clause(_neg(b) for b in block))
+    chain.append(_gadget_clause(neg))
     return tuple(chain)
 
 
@@ -108,15 +111,15 @@ def _nested_gadget(block: Sequence[int], order: Sequence[int]) -> VariableGadget
 
 
 def _reduced_gadget(block: Sequence[int]) -> VariableGadget:
-    by_value = tuple(Clause([_pos(b)]) for b in block) + (
-        Clause(_neg(b) for b in block),)
+    by_value = tuple(_gadget_clause([Literal(b, 0)]) for b in block) + (
+        _gadget_clause([Literal(b, 1) for b in block]),)
     return VariableGadget(tuple(block), by_value)
 
 
 def _full_clause(block: Sequence[int], code: int) -> Clause:
     width = len(block)
-    return Clause(Literal(b, (code >> (width - 1 - j)) & 1)
-                  for j, b in enumerate(block))
+    return _gadget_clause([Literal(b, (code >> (width - 1 - j)) & 1)
+                           for j, b in enumerate(block)])
 
 
 def _logarithmic_gadget(block: Sequence[int], k: int) -> VariableGadget:
@@ -142,12 +145,30 @@ def _allocate(F: MultiClauseSet, width) -> Dict[int, Tuple[int, ...]]:
 
 def _translate(F: MultiClauseSet, gadgets: Dict[int, VariableGadget],
                tag: str) -> TranslationResult:
+    """The boolean image of F: each clause becomes the union of its
+    literals' gadget clauses, then every extra clause is appended once.
+
+    Nothing is re-validated.  This relies on three invariants that every
+    caller establishes: the gadget clauses are ``Clause`` objects whose
+    ``_by_var`` is their literal map; the blocks of distinct source
+    variables are disjoint (``_allocate`` makes them so, ``validate_scheme``
+    checks it for ``generic``), so the union of gadget clauses of one
+    source clause never clashes; and every gadget literal lies in its
+    block with a value in {0, 1} (``validate_scheme`` builds each gadget as
+    a validated instance over its block).  Each image clause keeps the
+    gadgets' own literal objects.
+    """
     table = VariableTable({b: 2 for g in gadgets.values() for b in g.variables})
-    image: Dict[Clause, int] = {}
-    for clause, mult in F.items():
-        lits = [lit for source in clause
-                for lit in gadgets[source.var].by_value[source.value]]
-        boolean = Clause(lits)
+    by_value = {v: g.by_value for v, g in gadgets.items()}
+    image = _Trusted()
+    for clause, mult in F._clauses.items():
+        by_var: Dict[int, int] = {}
+        lits: List[Literal] = []
+        for v, e in clause._by_var.items():
+            gadget_clause = by_value[v][e]
+            by_var.update(gadget_clause._by_var)
+            lits.extend(gadget_clause)
+        boolean = _clause(by_var, lits)
         image[boolean] = image.get(boolean, 0) + mult
     for v in sorted(gadgets):
         for clause in gadgets[v].extra:
@@ -281,8 +302,17 @@ def generic(F: MultiClauseSet,
     may use a different gadget style.
     """
     validate_scheme(F, gadgets)
-    used = {v: gadgets[v] for v in F.var_set()}
+    used = {v: _with_clause_objects(gadgets[v]) for v in F.var_set()}
     return _translate(F, used, "generic")
+
+
+def _with_clause_objects(gadget: VariableGadget) -> VariableGadget:
+    """The gadget with every clause a ``Clause``; a gadget whose clauses
+    already are comes back as it is."""
+    if all(isinstance(c, Clause) for c in gadget.clauses()):
+        return gadget
+    return VariableGadget(gadget.variables, tuple(map(Clause, gadget.by_value)),
+                          tuple(map(Clause, gadget.extra)))
 
 
 # -- assignment transfer -------------------------------------------------------

@@ -13,7 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Dict, Union
 
+from gcls.cli import DimacsFile, _mapping_comments
 from gcls.core import (
     BOT,
     Clause,
@@ -41,6 +43,7 @@ from gcls.structure import (
     Multipartition,
     conflict_matrix,
 )
+from gcls.translate import TranslationResult, VariableGadget
 
 
 def total_assignments(table: VariableTable, variables):
@@ -540,3 +543,59 @@ def reference_lift_through_steps(records, psi: PartialAssignment) -> PartialAssi
         else:
             raise ValueError(f"assignment does not cover the resolvents on variable {v}")
     return psi
+
+
+# Earlier library versions of the translation core and the two emitters,
+# moved here verbatim when the library started building the boolean image
+# from the gadgets' own clause maps without re-validation and the emitters
+# started sorting once.  They rebuild every clause through the validating
+# constructors, so they are the checked side of the differential tests in
+# test_translate.py.
+
+
+def reference_translate(F: MultiClauseSet, gadgets: Dict[int, VariableGadget],
+                        tag: str) -> TranslationResult:
+    """The former translate._translate."""
+    table = VariableTable({b: 2 for g in gadgets.values() for b in g.variables})
+    image: Dict[Clause, int] = {}
+    for clause, mult in F.items():
+        lits = [lit for source in clause
+                for lit in gadgets[source.var].by_value[source.value]]
+        boolean = Clause(lits)
+        image[boolean] = image.get(boolean, 0) + mult
+    for v in sorted(gadgets):
+        for clause in gadgets[v].extra:
+            image[clause] = image.get(clause, 0) + 1
+    cnf = MultiClauseSet(table, image)
+    var_map = {b: (v, j) for v, g in gadgets.items()
+               for j, b in enumerate(g.variables)}
+    inverse = {pair: b for b, pair in var_map.items()}
+    return TranslationResult(cnf, var_map, inverse, tag, gadgets, F.table)
+
+
+def reference_emit_gcls(F: MultiClauseSet) -> str:
+    """The former cli.emit_gcls."""
+    variables = sorted(F.table.variables())
+    lines = [f"p gcls {variables[-1] if variables else 0} "
+             f"{sum(m for _, m in F.items())}"]
+    lines.extend(f"d {v} {F.table.domain_size(v)}" for v in variables)
+    for clause, mult in F.items():
+        body = " ".join(f"{lit.var}:{lit.value}" for lit in sorted(clause))
+        lines.extend([f"{body} 0" if body else "0"] * mult)
+    return "\n".join(lines) + "\n"
+
+
+def reference_emit_dimacs(source: Union[TranslationResult, DimacsFile]) -> str:
+    """The former cli.emit_dimacs."""
+    if isinstance(source, TranslationResult):
+        source = DimacsFile(_mapping_comments(source), source.boolean_cnf)
+    comments, cnf = source
+    variables = sorted(cnf.table.variables())
+    lines = list(comments)
+    lines.append(f"p cnf {variables[-1] if variables else 0} "
+                 f"{sum(m for _, m in cnf.items())}")
+    for clause, mult in cnf.items():
+        body = " ".join(str(lit.var) if lit.value == 0 else str(-lit.var)
+                        for lit in sorted(clause))
+        lines.extend([f"{body} 0" if body else "0"] * mult)
+    return "\n".join(lines) + "\n"

@@ -125,6 +125,39 @@ class TestParseDiagnostics:
          "line 2, column 6: bad token '1:0:1': expected 'var:val' or '0'"),
         ("p gcls 2 1\n1:0 \u00b2:0 0\n",
          "line 2, column 5: bad token '\u00b2:0': expected 'var:val' or '0'"),
+        # headers and declarations
+        ("  d 1 2\np gcls 2 1\n1:0 0\n",
+         "line 1, column 3: missing 'p gcls' header"),
+        ("p gcls 2 1\n d 1\n1:0 0\n",
+         "line 2, column 2: bad declaration: expected 'd <var> <size>'"),
+        ("p gcls 2 1\nd x 2\n1:0 0\n",
+         "line 2, column 1: bad declaration: expected 'd <var> <size>'"),
+        ("p gcls 2 1\nd 1 2 3\n1:0 0\n",
+         "line 2, column 1: bad declaration: expected 'd <var> <size>'"),
+        ("p gcls 2 1\nd -1 2\n1:0 0\n",
+         "line 2, column 1: bad declaration: expected 'd <var> <size>'"),
+        ("p gcls 2 1\n  d   3 2\n1:0 0\n",
+         "line 2, column 7: undeclared variable 3: header allows 1..2"),
+        ("p gcls 2 1\nd 0 2\n1:0 0\n",
+         "line 2, column 3: undeclared variable 0: header allows 1..2"),
+        ("p gcls 2 1\nd 1  0\n1:0 0\n",
+         "line 2, column 6: domain size must be at least 1"),
+        ("p gcls 2 1\nd 1 3\nd  1 2\n1:0 0\n",
+         "line 3, column 4: variable 1 declared twice with different sizes"),
+        ("p gcls 2 1\n p gcls 2 1\n1:0 0\n", "line 2, column 2: duplicate header"),
+        ("p gcls 2 x\n1:0 0\n", "line 1, column 10: bad header: 'x' is not a count"),
+        ("p  gcls x 1\n1:0 0\n", "line 1, column 9: bad header: 'x' is not a count"),
+        ("p gcls 2\n1:0 0\n",
+         "line 1, column 1: bad header: expected 'p gcls <n> <m>'"),
+        ("p gcls 2 2\n1:0 0\n", "line 1, column 1: bad header counts: "
+                                "header announces 2 clauses, file has 1"),
+        ("cx\np gcls 1 1\n1:0 0\n", "line 1, column 1: missing 'p gcls' header"),
+        ("c only\n", "line 2, column 1: missing 'p gcls' header"),
+        # a superscript two is a digit but not a decimal digit: int() rejects it
+        ("p gcls 2 1\nd 1 \u00b2\n1:0 0\n",
+         "line 2, column 1: bad declaration: expected 'd <var> <size>'"),
+        ("p gcls \u00b2 1\n1:0 0\n",
+         "line 1, column 8: bad header: '\u00b2' is not a count"),
     ])
     def test_line_and_column(self, text, message):
         # Tokens are checked once and then remembered; a remembered token
@@ -136,6 +169,57 @@ class TestParseDiagnostics:
     def test_unicode_decimal_digits_are_numbers(self):
         F = parse_gcls("p gcls 2 1\n1:0 \u0661:0 0\n")
         assert emit_gcls(F) == "p gcls 1 1\nd 1 2\n1:0 0\n"
+
+    def test_repeated_declarations_and_comments_are_accepted(self):
+        F = parse_gcls("  c indented\nc\np gcls 2 1\nd 1 3\n d 1 3 \n1:2 0\n")
+        assert emit_gcls(F) == "p gcls 1 1\nd 1 3\n1:2 0\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 2 1\n1  x 0\n", "line 2, column 4: bad token 'x': expected an integer"),
+        ("p cnf 2 1\n1 +2 0\n", "line 2, column 3: bad token '+2': expected an integer"),
+        ("p cnf 2 1\n1 --2 0\n",
+         "line 2, column 3: bad token '--2': expected an integer"),
+        ("p cnf 2 1\n1 - 0\n", "line 2, column 3: bad token '-': expected an integer"),
+        ("p cnf 2 1\n1 \u00b2 0\n",
+         "line 2, column 3: bad token '\u00b2': expected an integer"),
+        ("p cnf 2 1\n1 -3 0\n",
+         "line 2, column 3: undeclared variable 3: header allows 1..2"),
+        ("p cnf 2 1\n1 \u0662 -\u0661\u0660 0\n",
+         "line 2, column 5: undeclared variable 10: header allows 1..2"),
+        ("p cnf 2 1\n2 1  -2 0\n", "line 2, column 6: clashing literals on variable 2"),
+        ("p cnf 2 1\n1 0 2\n", "line 2, column 5: unterminated clause at end of input"),
+        ("p cnf 2 1\n1 0\n 2  \nc end\n",
+         "line 3, column 2: unterminated clause at end of input"),
+        ("c a\n p cnf 2 1\n\n 1 0 \n 2 0\n", "line 2, column 1: bad header counts: "
+                                              "header announces 1 clauses, file has 2"),
+        ("p cnf 2 1\nc x\n", "line 1, column 1: bad header counts: "
+                             "header announces 1 clauses, file has 0"),
+        ("", "line 1, column 1: missing 'p cnf' header"),
+        ("c x\n", "line 2, column 1: missing 'p cnf' header"),
+        ("c x\n1 0\np cnf 2 1\n", "line 2, column 1: missing 'p cnf' header"),
+        ("p cnf 2 1\n  p cnf 2 1\n1 0\n", "line 2, column 3: duplicate header"),
+        ("p cnf 2 -1\n1 0\n", "line 1, column 9: bad header: '-1' is not a count"),
+        ("p cnf 2 1 3\n1 0\n",
+         "line 1, column 1: bad header: expected 'p cnf <n> <m>'"),
+        ("p gcls 2 1\n1 0\n", "line 1, column 1: bad header: expected 'p cnf <n> <m>'"),
+    ])
+    def test_dimacs_line_and_column(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_dimacs(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, comments, clauses", [
+        # '-0' and '00' end a clause; any Unicode decimal digits form a number
+        ("p cnf 2 2\n1 -0 2 00\n", (), "1 0\n2 0\n"),
+        ("p cnf 2 1\n1 \u0662 0\n", (), "1 2 0\n"),
+        ("p cnf 2 1\n1 -\u0662 0\n", (), "1 -2 0\n"),
+        (" c x\np cnf 2 1\nc\n1\t2 0\r\n", (" c x", "c"), "1 2 0\n"),
+        ("p cnf 0 1\n0\n", (), "0\n"),
+    ])
+    def test_dimacs_accepted_forms(self, text, comments, clauses):
+        parsed = parse_dimacs(text)
+        assert parsed.comments == comments
+        assert emit_dimacs(parsed).split("\n", len(comments) + 1)[-1] == clauses
 
 
 class TestTranslateOrderByOccurrences:

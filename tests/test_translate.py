@@ -1,9 +1,11 @@
 """Boolean translations: gadget schemes, measures, and assignment transfer."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from gcls.cli import emit_dimacs, emit_gcls, parse_gcls
 from gcls.core import (
     BOT,
     Clause,
@@ -12,6 +14,7 @@ from gcls.core import (
     VariableTable,
     top,
 )
+from gcls.encode import vdw_instance
 from gcls.matching import (
     is_matching_autarky,
     is_matching_lean,
@@ -19,6 +22,7 @@ from gcls.matching import (
     matching_satisfying_assignment,
     max_deficiency,
 )
+from gcls.musat import tree_to_clause_set
 from gcls.satdec import brute_force_sat, is_autarky
 from gcls.translate import (
     VariableGadget,
@@ -34,6 +38,7 @@ from gcls.translate import (
 
 import oracles
 from test_matching import nested_gadget_example
+from test_musat import horn_chain, random_tree
 
 ALL_SCHEMES = (direct_weak, direct_strong, nested, reduced, logarithmic)
 
@@ -354,6 +359,15 @@ class TestGenericScheme:
             assert (brute_force_sat(t.boolean_cnf) is not None) \
                 == oracles.brute_satisfiable(F)
 
+    def test_gadget_clauses_may_be_plain_literal_sets(self):
+        F = four_valued_pair()
+        for scheme in (direct_strong, nested, logarithmic):
+            t = scheme(F)
+            plain = {v: VariableGadget(g.variables, tuple(map(frozenset, g.by_value)),
+                                       tuple(map(frozenset, g.extra)))
+                     for v, g in t.gadgets.items()}
+            assert generic(F, plain).boolean_cnf.items() == t.boolean_cnf.items()
+
     def test_violated_invariants_are_named(self):
         F = MultiClauseSet(VariableTable({1: 2, 2: 2}), [Clause([(1, 0), (2, 1)])])
         base = direct_weak(F).gadgets
@@ -377,6 +391,75 @@ class TestGenericScheme:
                 "same clause")
         rejects({**base, 1: base[1]._replace(variables=block[:1])},
                 "leaves its declared block")
+        # the image is built without re-validation, so a gadget literal
+        # outside {0, 1} must be caught here
+        rejects({**base, 1: base[1]._replace(
+            by_value=(Clause([(block[0], 2)]),) + base[1].by_value[1:])},
+                "outside domain")
+
+
+class TestTranslationAgainstReference:
+    """Every scheme's image, built from the gadgets' clause maps without
+    re-validation, equals the former validated build, and both emitters
+    print the former bytes."""
+
+    @staticmethod
+    def samples():
+        rng = random.Random(1501)
+        instances = [oracles.random_instance(rng, max_n=5, max_dom=4, max_c=12)
+                     for _ in range(160)]
+        instances += [tree_to_clause_set(random_tree(rng, 12)) for _ in range(30)]
+        instances += [horn_chain(n) for n in (1, 2, 7, 24)]
+        instances += [vdw_instance(m, k, n) for m, k, n in ((2, 3, 8), (3, 3, 6),
+                                                            (2, 4, 10))]
+        for F in instances:
+            # parsed from shuffled clause lines, so the clause map is not
+            # in canonical order
+            lines = emit_gcls(F).splitlines()
+            declared = 1 + len(F.table)
+            body = lines[declared:]
+            rng.shuffle(body)
+            yield rng, parse_gcls("\n".join(lines[:declared] + body) + "\n")
+
+    @staticmethod
+    def translations(rng, F):
+        yield from (scheme(F) for scheme in ALL_SCHEMES)
+        order = {}
+        for v in F.var_set():
+            values = list(F.table.domain(v))
+            rng.shuffle(values)
+            order[v] = values
+        yield nested(F, value_order=order)
+        yield generic(F, rng.choice(ALL_SCHEMES)(F).gadgets)
+
+    def test_images_and_text_match_the_former_build(self):
+        seen = Counter()
+        for rng, F in self.samples():
+            # the library runs first: the references put F in canonical order
+            text = emit_gcls(F)
+            translations = list(self.translations(rng, F))
+            assert text == oracles.reference_emit_gcls(F)
+            seen["samples"] += 1
+            seen["multiplicity"] += any(m > 1 for _, m in F.items())
+            seen["domain one"] += any(F.table.domain_size(v) == 1
+                                      for v in F.var_set())
+            seen["empty clause"] += BOT in F
+            for t in translations:
+                seen["translations"] += 1
+                ref = oracles.reference_translate(F, t.gadgets, t.scheme)
+                assert t.boolean_cnf.items() == ref.boolean_cnf.items()
+                assert repr(t.boolean_cnf) == repr(ref.boolean_cnf)
+                assert t.boolean_cnf.table == ref.boolean_cnf.table
+                assert (t.var_map, t.inverse_map) == (ref.var_map, ref.inverse_map)
+                built = list(t.boolean_cnf.clauses())
+                built += [c for g in t.gadgets.values() for c in g.clauses()]
+                assert all(dict(c) == c._by_var for c in built)
+                assert emit_dimacs(t) == oracles.reference_emit_dimacs(ref)
+                assert emit_gcls(t.boolean_cnf) == \
+                    oracles.reference_emit_gcls(ref.boolean_cnf)
+        assert seen["samples"] >= 190 and seen["translations"] >= 1300
+        assert min(seen["multiplicity"], seen["domain one"],
+                   seen["empty clause"]) >= 10, seen
 
 
 class TestAssignmentTransfer:
