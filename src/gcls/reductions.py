@@ -5,7 +5,9 @@ pure-variable and subsumption elimination, the resolution rule with its
 variable-elimination operator, the singular special cases, blocked clauses,
 and one reduction loop whose five rules, in priority order, are: dropping a
 redundant clause copy on a singular variable, pure-variable elimination,
-matching-autarky reduction, singular DP and the surplus-one autarky.
+matching-autarky reduction, singular DP and the surplus-one autarky.  For
+boolean instances a unit rule can go before them all (``satdec.sat_fpt``
+turns it on).
 
 Every reduction keeps satisfiability.  Both reductions also come in a
 ``*_with_log`` form returning the steps performed, each recording only what
@@ -42,7 +44,9 @@ from .matching import quasi_maximal_matching_autarky, surplus
 
 class ForcedValueStep(NamedTuple):
     """``var`` was assigned ``value`` and crossed out: a one-value domain in
-    unit-clause propagation, or a branch of ``satdec.sat_fpt``."""
+    unit-clause propagation, a branch of ``satdec.sat_fpt``, or the unit rule
+    of the reduction loop, where a unit clause {(var, 1 - value)} on a
+    boolean variable forced it."""
 
     var: int
     value: int
@@ -295,7 +299,16 @@ class _ReductionState:
     step goes through ``change``, which updates both in place and marks
     dirty the variables whose rule verdicts it may change; ``retest_dirty``
     recomputes those verdicts from the index.
+
+    ``units`` is None unless the loop's unit rule is on.  Then it is a stack
+    of unit clauses: those of the instance at loop start, and each one that
+    ``change`` has given a positive multiplicity since; some may be gone
+    again.  ``assign_value`` applies one binding in place.  Neither
+    ``__init__`` nor ``_set`` tracks units, so callers without the rule pay
+    nothing for it.
     """
+
+    units: Optional[List[Clause]] = None
 
     def __init__(self, F: MultiClauseSet):
         self.table = F.table
@@ -352,6 +365,9 @@ class _ReductionState:
             if not clause:
                 touched.update(self.occ)
             touched.update(clause._by_var)
+        if self.units is not None:
+            self.units.extend(clause for clause, m in multiplicities.items()
+                              if m and len(clause) == 1)
         self.current = None
         self.dirty |= touched
         if not grows:
@@ -366,6 +382,17 @@ class _ReductionState:
         """Apply an autarky: it satisfies, and so removes, every clause it touches."""
         self.change({clause: 0 for v in phi for slot in self.occ.get(v, ())
                      for clause in slot})
+
+    def assign_value(self, v: int, value: int) -> None:
+        """Apply v = value through ``change``: the clauses on v with another
+        value are satisfied and go, and those with (v, value) lose that
+        literal, their copies adding up as in ``core.apply``."""
+        slots = self.occ[v]
+        update = {clause: 0 for slot in slots for clause in slot}
+        for clause, m in slots[value].items():
+            rest = _clause({w: e for w, e in clause._by_var.items() if w != v})
+            update[rest] = update.get(rest, self.mult.get(rest, 0)) + m
+        self.change(update)
 
     def retest_dirty(self) -> None:
         for v in self.dirty:
@@ -462,13 +489,35 @@ def _singular_combinations(v: int, slots):
             for main in mains]
 
 
-def _r_reduce_logged(F: MultiClauseSet,
-                     surplus_one: bool) -> Tuple[MultiClauseSet, List]:
-    """The reduction loop; its last rule runs only with ``surplus_one``."""
+def _r_reduce_logged(F: MultiClauseSet, surplus_one: bool,
+                     units: bool = False) -> Tuple[MultiClauseSet, List]:
+    """The reduction loop; its last rule runs only with ``surplus_one``, and
+    its unit rule, which goes before every other rule, only with ``units``.
+
+    The unit rule takes a unit clause {(v, e)} on a boolean variable, logs
+    ``ForcedValueStep(v, 1 - e)`` and assigns v = 1 - e on the state.  When
+    that leaves the empty clause, the loop stops there: the instance is
+    unsatisfiable, and the rest of it is returned unreduced.
+    """
     state = _ReductionState(F)
+    if units:
+        state.units = [clause for clause in state.mult if len(clause) == 1]
     steps: List = []
     lean = False  # whether the last matching-autarky test found F lean
     while True:
+        if state.units:
+            unit = state.units.pop()
+            if unit not in state.mult:
+                continue  # gone since it was pushed
+            ((v, e),) = unit._by_var.items()
+            if state.sizes[v] != 2:
+                continue
+            steps.append(ForcedValueStep(v, 1 - e))
+            state.assign_value(v, 1 - e)
+            if BOT in state.mult:
+                return state.instance(), steps
+            lean = False
+            continue
         state.retest_dirty()
         if state.redundant:
             v = min(state.redundant)
@@ -549,6 +598,8 @@ def s_reduction(F: MultiClauseSet) -> MultiClauseSet:
     return _r_reduce_logged(F, surplus_one=True)[0]
 
 
-def s_reduction_with_log(F: MultiClauseSet):
-    F, steps = _r_reduce_logged(F, surplus_one=True)
+def s_reduction_with_log(F: MultiClauseSet, units: bool = False):
+    """s_reduction and its steps; ``units`` puts the unit rule of the
+    reduction loop first, for boolean instances (``satdec.sat_fpt``)."""
+    F, steps = _r_reduce_logged(F, surplus_one=True, units=units)
     return F, tuple(steps)

@@ -302,13 +302,21 @@ def sat_fpt(F: MultiClauseSet) -> FptResult:
 
     The instance is translated to boolean form and searched with no
     separate prelude: every node, the root included, applies s_reduction
-    (whose loop already eliminates pure variables and applies the matching
-    autarky), answers SAT when no clause is left (the only matching-
-    satisfiable s-reduced instance), and otherwise branches a variable of
-    minimal slack into both values, 0 first.  Each branch strictly
-    decreases the maximal deficiency, so the number of explored leaves
-    (node_count) is at most 2**d for d the maximal deficiency of the
-    reduced root (Szeider, JCSS 2004).
+    with the unit rule put first (``s_reduction_with_log(G, units=True)``;
+    its loop also eliminates pure variables and applies the matching
+    autarky), is a leaf when the empty clause is left, answers SAT when no
+    clause is left (the only matching-satisfiable s-reduced instance), and
+    otherwise branches a variable of minimal slack into both values, 0
+    first.  Each branch strictly decreases the maximal deficiency, so the
+    number of explored leaves (node_count) is at most 2**d for d the
+    maximal deficiency of the reduced root (Szeider, JCSS 2004).
+
+    The unit rule keeps that bound: it never raises the maximal deficiency.
+    A unit clause {(v, e)} forces v = 1 - e; take any F' within the forced
+    instance.  The clauses of F' each come from a clause of the node, and
+    these together with the unit clause are one clause more than F' on at
+    most one boolean variable more, so their deficiency is no lower than
+    that of F'.
 
     The search loops over an explicit stack of (parent instance, branch,
     trail length).  One trail logs the reduction steps and branches (as
@@ -326,7 +334,7 @@ def sat_fpt(F: MultiClauseSet) -> FptResult:
         if branch is not None:
             trail[mark:] = [branch]
             G = apply(assign(branch), G)
-        G, steps = s_reduction_with_log(G)
+        G, steps = s_reduction_with_log(G, units=True)
         trail.extend(steps)
         # s-reduced G is matching lean, so matching satisfiable only when empty:
         # with a clause, a matching-satisfying assignment would be a non-trivial

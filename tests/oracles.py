@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, Union
+from typing import Dict, List, Union
 
 from gcls.cli import DimacsFile, _mapping_comments
 from gcls.core import (
     BOT,
+    EMPTY_ASSIGNMENT,
     Clause,
     MultiClauseSet,
     PartialAssignment,
@@ -34,8 +35,12 @@ from gcls.matching import (
     max_deficiency,
     quasi_maximal_matching_autarky,
 )
-from gcls.reductions import lift_through_steps, s_reduction_with_log
-from gcls.satdec import SatResult, is_autarky
+from gcls.reductions import (
+    ForcedValueStep,
+    lift_through_steps,
+    s_reduction_with_log,
+)
+from gcls.satdec import FptResult, SatResult, is_autarky
 from gcls.structure import (
     ConflictMatrix,
     HittingClassification,
@@ -43,7 +48,12 @@ from gcls.structure import (
     Multipartition,
     conflict_matrix,
 )
-from gcls.translate import TranslationResult, VariableGadget
+from gcls.translate import (
+    TranslationResult,
+    VariableGadget,
+    direct_weak,
+    lift_assignment,
+)
 
 
 def total_assignments(table: VariableTable, variables):
@@ -271,6 +281,14 @@ def random_instance(rng: random.Random, max_n=6, max_dom=3, max_c=12,
     if not multi:
         return MultiClauseSet(table, {c: 1 for c in clauses})
     return MultiClauseSet(table, clauses)
+
+
+def random_3sat(rng: random.Random, n: int) -> MultiClauseSet:
+    """Uniform random 3-SAT near its threshold: n >= 3 boolean variables and
+    floor(4.26 n) clauses, each on three distinct variables."""
+    clauses = [Clause((v, rng.randrange(2)) for v in rng.sample(range(1, n + 1), 3))
+               for _ in range(int(4.26 * n))]
+    return MultiClauseSet(VariableTable({v: 2 for v in range(1, n + 1)}), clauses)
 
 
 # -- references kept from replaced algorithms ---------------------------------
@@ -543,6 +561,58 @@ def reference_lift_through_steps(records, psi: PartialAssignment) -> PartialAssi
         else:
             raise ValueError(f"assignment does not cover the resolvents on variable {v}")
     return psi
+
+
+# The library's sat_fpt as it was before its nodes put the unit rule first,
+# moved here verbatim (under a new name) as the reference for the search
+# that replaced it: same verdicts, and never more leaves.
+
+
+def reference_sat_fpt_without_units(F: MultiClauseSet) -> FptResult:
+    """Branch-and-reduce satisfiability decision via the boolean translation.
+
+    The instance is translated to boolean form and searched with no
+    separate prelude: every node, the root included, applies s_reduction
+    (whose loop already eliminates pure variables and applies the matching
+    autarky), answers SAT when no clause is left (the only matching-
+    satisfiable s-reduced instance), and otherwise branches a variable of
+    minimal slack into both values, 0 first.  Each branch strictly
+    decreases the maximal deficiency, so the number of explored leaves
+    (node_count) is at most 2**d for d the maximal deficiency of the
+    reduced root (Szeider, JCSS 2004).
+
+    The search loops over an explicit stack of (parent instance, branch,
+    trail length).  One trail logs the reduction steps and branches (as
+    ``ForcedValueStep``) from the root; taking an entry cuts it back.  The
+    first empty node lifts the whole trail once, to the original variables.
+    """
+    translation = direct_weak(F)
+    trail: List = []
+    stack = [(translation.boolean_cnf, None, 0)]
+    leaves = 0
+    while stack:
+        G, branch, mark = stack.pop()
+        if branch is not None:
+            trail[mark:] = [branch]
+            G = apply(assign(branch), G)
+        G, steps = s_reduction_with_log(G)
+        trail.extend(steps)
+        # s-reduced G is matching lean, so matching satisfiable only when empty:
+        # with a clause, a matching-satisfying assignment would be a non-trivial
+        # matching autarky (and the empty clause has no edge to match)
+        if not G:
+            model = lift_through_steps(trail, EMPTY_ASSIGNMENT)
+            return FptResult(True, lift_assignment(translation, model), leaves + 1)
+        if BOT in G:
+            leaves += 1
+            continue
+        # minimal slack: occurrences of w minus those of its most frequent value
+        counts = G.value_count_table()
+        v = min(counts, key=lambda w: (sum(counts[w]) - max(counts[w]), w))
+        mark = len(trail)
+        for e in reversed(G.table.domain(v)):
+            stack.append((G, ForcedValueStep(v, e), mark))
+    return FptResult(False, None, leaves)
 
 
 # Earlier library versions of the translation core and the two emitters,

@@ -284,6 +284,24 @@ class TestSolveBoundedPinned:
             10, "s SATISFIABLE\nv 1:1 2:0 3:0 4:1 5:1 6:0 7:0 8:1\n", "")
 
 
+class TestSolveFpt:
+    def test_vdw_2_3_8_prints_a_model(self, tmp_path, capsys):
+        F = vdw_instance(2, 3, 8)
+        code, out, err = run(capsys, "solve", "--method", "fpt",
+                             write(tmp_path, emit_gcls(F)))
+        assert (code, err) == (10, "")
+        status, values = out.splitlines()
+        assert status == "s SATISFIABLE"
+        phi = PartialAssignment(tuple(map(int, token.split(":")))
+                                for token in values.split()[1:])
+        assert oracles.satisfies(phi, F)
+
+    def test_vdw_2_3_9_is_unsatisfiable(self, tmp_path, capsys):
+        path = write(tmp_path, emit_gcls(vdw_instance(2, 3, 9)))
+        assert run(capsys, "solve", "--method", "fpt", path) == (
+            20, "s UNSATISFIABLE\n", "")
+
+
 def outcome(capsys, argv):
     """(exit code, stdout, stderr) of one main call, usage errors included."""
     try:

@@ -1,4 +1,7 @@
+import itertools
 import random
+import sys
+import time
 
 import pytest
 
@@ -23,6 +26,7 @@ from gcls.matching import (
 from gcls.musat import tree_to_clause_set
 from gcls.reductions import (
     AutarkyStep,
+    ForcedValueStep,
     lift_through_steps,
     pure_variable_elimination,
     s_reduction_with_log,
@@ -351,6 +355,37 @@ def reduced_root_budget(F):
         G = H
 
 
+def assert_agrees_within_budget(F, result, reference):
+    """Equal verdicts, every witness a model, and no more leaves than the
+    reference or the leaf budget of the reduced root."""
+    assert result.satisfiable == reference.satisfiable, dict(F.items())
+    for witness in (result.witness, reference.witness):
+        assert (witness is None) == (not result.satisfiable)
+        assert witness is None or oracles.satisfies(witness, F)
+    assert result.node_count <= reference.node_count, dict(F.items())
+    assert result.node_count <= reduced_root_budget(F), dict(F.items())
+
+
+def record_nodes(monkeypatch):
+    """A list that gets (node instance, reduced instance, reduction steps)
+    for every node sat_fpt reduces from now on."""
+    nodes = []
+
+    def recorded(G, **flags):
+        reduced, steps = s_reduction_with_log(G, **flags)
+        nodes.append((G, reduced, steps))
+        return reduced, steps
+
+    monkeypatch.setattr("gcls.satdec.s_reduction_with_log", recorded)
+    return nodes
+
+
+def unit_steps(steps):
+    """The unit rule's steps at the head of a node's log."""
+    return list(itertools.takewhile(
+        lambda step: isinstance(step, ForcedValueStep), steps))
+
+
 def reference_pure_fixpoint(F):
     """The former reductions._pure_fixpoint: pure-variable elimination with
     its autarky steps."""
@@ -385,17 +420,6 @@ def reference_sat_fpt(F):
     return FptResult(True, lift_assignment(translation, model), leaves)
 
 
-def reference_node_sat_fpt(F):
-    """sat_fpt with the former search node, which re-tested matching
-    satisfiability and read the slack off ``measures``."""
-    translation = direct_weak(F)
-    sat, model, leaves = oracles.reference_branch_and_reduce(
-        translation.boolean_cnf)
-    if not sat:
-        return FptResult(False, None, leaves)
-    return FptResult(True, lift_assignment(translation, model), leaves)
-
-
 class TestFptDecision:
     def fpt_samples(self):
         rng = random.Random(611)
@@ -411,7 +435,9 @@ class TestFptDecision:
 
     def node_samples(self):
         """fpt_samples, the parity family, and instances on which the search
-        branches: denser random ones with small domains and vdW(2,3,n)."""
+        branches: denser random ones with small domains, vdW(2,3,n) and, as
+        unit propagation decides nearly all the others at the root, random
+        3-SAT near its threshold."""
         yield from self.fpt_samples()
         rng = random.Random(614)
         yield from parity_samples(rng, 100)
@@ -420,44 +446,98 @@ class TestFptDecision:
                                           allow_empty_clause=False)
         for n in range(3, 9):
             yield vdw_instance(2, 3, n)
+        for _ in range(60):
+            yield oracles.random_3sat(rng, 8)
 
-    def test_same_search_as_the_former_node(self):
-        unsat = branched = 0
+    def test_same_search_as_the_former_node(self, monkeypatch):
+        """The search before the unit rule, kept in oracles, is the former
+        node's search; the current one has its verdicts and never more
+        leaves."""
+        nodes = record_nodes(monkeypatch)
+        unsat = branched = fired = fewer = 0
         for F in self.node_samples():
+            reference = oracles.reference_sat_fpt_without_units(F)
+            nodes.clear()
             result = sat_fpt(F)
-            assert result == reference_node_sat_fpt(F), dict(F.items())
+            assert_agrees_within_budget(F, result, reference)
             unsat += not result.satisfiable
             branched += result.node_count > 1
-        assert unsat >= 100 and branched >= 30  # seen: 371 and 54 of 979
+            fired += any(unit_steps(steps) for _, _, steps in nodes)
+            fewer += result.node_count < reference.node_count
+        # seen: 384 unsatisfiable, 54 branched, 566 with a unit step and 113
+        # with fewer leaves, of 1 039
+        assert unsat >= 100 and branched >= 30
+        assert fired >= 400 and fewer >= 60
 
     def test_s_reduced_nodes_are_matching_satisfiable_only_when_empty(
             self, monkeypatch):
-        nodes = []
-
-        def recorded(G):
-            reduced = s_reduction_with_log(G)
-            nodes.append(reduced[0])
-            return reduced
-
-        monkeypatch.setattr("gcls.satdec.s_reduction_with_log", recorded)
+        nodes = record_nodes(monkeypatch)
         for F in self.node_samples():
             sat_fpt(F)
-        for G in nodes:
+        for _, G, _ in nodes:
             assert (matching_satisfying_assignment(G) is not None) == (not G), G
-        empty = sum(not G for G in nodes)
-        assert empty >= 300 and len(nodes) - empty >= 300  # seen: 608 of 1 260
+        empty = sum(not G for _, G, _ in nodes)
+        assert empty >= 300 and len(nodes) - empty >= 300  # seen: 655 of 1 690
 
-    def test_agrees_with_the_prelude_reference(self):
-        unsat = 0
+    def test_agrees_with_the_prelude_reference(self, monkeypatch):
+        nodes = record_nodes(monkeypatch)
+        unsat = fired = fewer = 0
         for F in self.fpt_samples():
-            result, expected = sat_fpt(F), reference_sat_fpt(F)
-            assert result.satisfiable == expected.satisfiable, dict(F.items())
-            assert result.node_count == expected.node_count, dict(F.items())
-            for witness in (result.witness, expected.witness):
-                assert (witness is None) == (not result.satisfiable)
-                assert witness is None or oracles.satisfies(witness, F)
+            expected = reference_sat_fpt(F)
+            nodes.clear()
+            result = sat_fpt(F)
+            assert_agrees_within_budget(F, result, expected)
             unsat += not result.satisfiable
-        assert unsat >= 100
+            fired += any(unit_steps(steps) for _, _, steps in nodes)
+            fewer += result.node_count < expected.node_count
+        # seen: 185 unsatisfiable, 231 with a unit step and 1 with fewer
+        # leaves, of 396
+        assert unsat >= 100 and fired >= 150 and fewer >= 1
+
+    def test_unit_rule_never_raises_the_maximal_deficiency(self, monkeypatch):
+        """Each unit step at the head of a node's log assigns one variable;
+        the maximal deficiency after it is at most the one before."""
+        nodes = record_nodes(monkeypatch)
+        for F in self.node_samples():
+            sat_fpt(F)
+        fired = 0
+        for G, _, steps in nodes:
+            forced = unit_steps(steps)
+            fired += bool(forced)
+            before = max_deficiency(G).value
+            for step in forced:
+                G = apply(assign(step), G)
+                after = max_deficiency(G).value
+                assert after <= before, (G, step)
+                before = after
+        assert fired >= 500  # seen: 863 of 1 690 nodes
+
+    def test_only_sat_fpt_turns_the_unit_rule_on(self, monkeypatch):
+        """A Horn chain has root units, and their propagation alone refutes
+        it; only sat_fpt's root node propagates them."""
+        G = direct_weak(horn_chain(8)).boolean_cnf
+        _, steps = s_reduction_with_log(G)
+        assert not any(isinstance(step, ForcedValueStep) for step in steps)
+        reduced, steps = s_reduction_with_log(G, units=True)
+        assert BOT in reduced and steps
+        assert all(isinstance(step, ForcedValueStep) for step in steps)
+        nodes = record_nodes(monkeypatch)
+        assert sat_fpt(horn_chain(8)) == FptResult(False, None, 1)
+        assert nodes == [(G, reduced, steps)]
+
+    def test_deep_horn_chains_need_no_recursion(self):
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        chain = horn_chain(n)
+        satisfiable = chain.with_clauses(
+            {c: m for c, m in chain.items() if c != Clause([(n, 1)])})
+        start = time.perf_counter()
+        assert sat_fpt(chain) == FptResult(False, None, 1)
+        result = sat_fpt(satisfiable)
+        elapsed = time.perf_counter() - start
+        assert result.satisfiable
+        assert oracles.satisfies(result.witness, satisfiable)
+        assert elapsed < 2.0  # seen: 0.1 s for both
 
     def test_unsatisfiable_units_collapse_at_the_root(self):
         _, f1, _ = mixed_example()
@@ -483,13 +563,15 @@ class TestFptDecision:
 
     def test_agrees_with_brute_force_within_the_leaf_budget(self):
         rng = random.Random(609)
-        # the small multi-valued instances are decided at the root; the
-        # denser boolean ones make the search branch
+        # the small multi-valued instances and the denser boolean ones are
+        # decided at the root; random 3-SAT near its threshold makes the
+        # search branch
         samples = [oracles.random_instance(rng, max_n=4, max_dom=3, max_c=7)
                    for _ in range(120)]
         samples += [oracles.random_instance(rng, max_n=7, max_dom=2, max_c=24,
                                             allow_empty_clause=False)
                     for _ in range(200)]
+        samples += [oracles.random_3sat(rng, 8) for _ in range(60)]
         unsat = branched = 0
         for F in samples:
             result = sat_fpt(F)
@@ -501,7 +583,7 @@ class TestFptDecision:
             else:
                 unsat += 1
             branched += result.node_count > 1
-        assert unsat >= 25 and branched >= 30  # seen: 182 and 43 of 320
+        assert unsat >= 25 and branched >= 30  # seen: 188 and 46 of 380
 
     def test_all_three_methods_agree(self):
         rng = random.Random(610)
