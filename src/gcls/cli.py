@@ -35,7 +35,7 @@ from .core import (
     _Trusted,
 )
 from .encode import hypergraph_coloring, parse_hypergraph, vdw_instance
-from .matching import IncidenceGraph, matching_lean_kernel, surplus
+from .matching import IncidenceGraph, matching_lean_kernel
 from .musat import _classify_member, format_tree, recognize_mu1
 from .satdec import (
     BruteForceCapExceeded,
@@ -333,7 +333,7 @@ def _yesno(flag: bool) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     F = _load(args.file)
     hitting = classify_hitting(F)
-    graph = IncidenceGraph(F)  # one graph for delta-star and matching leanness
+    graph = IncidenceGraph(F)  # one graph for delta-star, surplus and leanness
     lines = [
         f"n {F.n}",
         f"c {F.c}",
@@ -341,7 +341,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"rd {F.rd}",
         f"delta {F.delta}",
         f"delta-star {len(graph.adj) - graph.size}",
-        f"surplus {surplus(F).value}",
+        f"surplus {graph.surplus().value}",
         f"matching-lean {_yesno(len(graph.lean) == len(graph.adj))}",
         f"hitting {_yesno(hitting.hitting)}",
         f"hitting-degree {hitting.hitting_degree or 0}",

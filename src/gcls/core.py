@@ -172,13 +172,15 @@ class MultiClauseSet:
     simply a multi-clause-set whose multiplicities are all 1; ``dedup`` is
     the one way to get it.  Iteration order of clauses is canonical (sorted
     literal tuples), so equal objects print and serialise identically; a
-    derived object sorts its clauses on the first ordered access.
+    derived object sorts its clauses on the first ordered access, and every
+    object builds its variable set on the first ``var_set`` call.
     """
 
-    __slots__ = ("table", "_clauses", "_ordered")
+    __slots__ = ("table", "_clauses", "_ordered", "_vars")
 
     def __init__(self, table: VariableTable, clauses=()):
         self.table = table
+        self._vars = None
         if type(clauses) is _Trusted:
             self._clauses = clauses
             self._ordered = False
@@ -237,7 +239,9 @@ class MultiClauseSet:
     # -- measures ----------------------------------------------------------
 
     def var_set(self) -> frozenset:
-        return frozenset(v for c in self._clauses for v in c._by_var)
+        if self._vars is None:
+            self._vars = frozenset(v for c in self._clauses for v in c._by_var)
+        return self._vars
 
     @property
     def c(self) -> int:

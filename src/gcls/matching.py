@@ -3,11 +3,12 @@ autarkies, the matching-lean kernel, and repair of assignments to
 matching-maximum ones.
 
 The incidence graph B(F) has one left node per clause occurrence and one
-right node per occurring variable v with capacity |D_v| - 1, and an edge
-whenever v occurs in the clause; B_phi(F) keeps only the edges whose
-literal phi satisfies.  A matching gives each occurrence at most one
-variable and each variable at most its capacity of occurrences, which is a
-matching of the graph with |D_v| - 1 copies of every variable node.
+right node per occurring variable v with capacity |D_v| - 1 (0 for a
+one-value domain), and an edge whenever v occurs in the clause; B_phi(F)
+keeps only the edges whose literal phi satisfies.  A matching gives each
+occurrence at most one variable and each variable at most its capacity of
+occurrences, which is a matching of the graph with |D_v| - 1 copies of
+every variable node.
 
 ``IncidenceGraph`` computes one maximum matching (a greedy pass, then one
 breadth-first augmenting search per occurrence left uncovered), and every
@@ -21,7 +22,9 @@ answer is read off that matching:
 - the surplus comes from spare capacity: the variables alternating-reachable
   from it form the witness, and with no spare capacity, raising the
   capacity of v one unit at a time until no augmenting path leaves v
-  measures the best witness through v.
+  measures the best witness through v.  A capacity-0 node is raised like
+  any other, and each trial's augmenting paths are undone in place before
+  the next variable's.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional
 
 from gcls.core import (
-    BOT,
     MultiClauseSet,
     PartialAssignment,
     compose,
@@ -37,12 +39,18 @@ from gcls.core import (
 )
 
 
+class Surplus(NamedTuple):
+    value: int
+    witness: Optional[frozenset]  # nonempty V with delta(F[V]) == value, None iff n(F) == 0
+
+
 class IncidenceGraph:
     """B(F), or B_phi(F) when phi is given, with one maximum matching.
 
     Occurrences are numbered in canonical clause order: ``owner[o]`` indexes
-    ``clauses``, ``adj[o]`` lists the variables of positive capacity on an
-    edge of o, ``mate[o]`` is the variable matched to o (None when
+    ``clauses``, ``adj[o]`` lists every variable on an edge of o, capacity 0
+    included (with phi, every variable whose literal in the clause phi
+    satisfies), ``mate[o]`` is the variable matched to o (None when
     uncovered), ``users[v]`` the occurrences matched to v, and ``size`` the
     size of the matching.  ``lean`` holds the occurrences that an even
     alternating path from an uncovered occurrence reaches, which are those
@@ -60,7 +68,7 @@ class IncidenceGraph:
         adj: List[List[int]] = []
         for idx, (clause, mult) in enumerate(F.items()):
             vs = [v for v, e in sorted(clause)
-                  if cap[v] and (phi is None or phi.satisfies_literal((v, e)))]
+                  if phi is None or phi.satisfies_literal((v, e))]
             owner += [idx] * mult
             adj += [vs] * mult
         self.owner, self.adj, self._on = owner, adj, None
@@ -80,19 +88,24 @@ class IncidenceGraph:
         for o in free:
             self._augment_from(o)
 
-    def _relink(self, o: int, v: int) -> None:
-        """Match occurrence o to variable v, releasing its previous mate."""
+    def _relink(self, o: int, v: Optional[int]) -> None:
+        """Match occurrence o to variable v, or uncover it when v is None,
+        releasing its previous mate."""
         old = self.mate[o]
         if old is None:
             self.size += 1
         else:
             self.users[old].remove(o)
         self.mate[o] = v
-        self.users[v].append(o)
+        if v is None:
+            self.size -= 1
+        else:
+            self.users[v].append(o)
 
     def _augment(self, path: list) -> None:
         """Flip an augmenting path [v0, o1, v1, ..., vk, o_end]: v0 has spare
-        capacity, each o_i is matched to v_i, and o_end is uncovered."""
+        capacity, each o_i is matched to v_i, and o_end is uncovered.  The
+        list [None, o_end, vk, ..., v1, o1] flips it back."""
         for k in range(1, len(path), 2):
             self._relink(path[k], path[k - 1])
 
@@ -152,6 +165,54 @@ class IncidenceGraph:
                     queue.append(w)
         return None, came.keys()
 
+    def surplus(self, at_most: Optional[int] = None) -> Surplus:
+        """Minimum of delta(F[V]) over nonempty variable sets V (0 when n(F)=0),
+        for a graph built without phi.
+
+        With spare capacity in the maximum matching the surplus is negative
+        and the variables alternating-reachable from the spare capacity are
+        the witness.  Otherwise, for each variable v in turn, the capacity
+        of v is raised one unit at a time, each time followed by one
+        augmenting search from v; the first failure at s extra units yields
+        the witness reachable from v with delta = s-1, and later variables
+        only try fewer units.  The trial's augmenting paths are then flipped
+        back, last first, so the graph ends as it began, up to the order of
+        the ``users`` lists, which only ``__init__`` reads.
+        With at_most=k the search stops early: a value below k is exact,
+        and a value of at least k only means the surplus is at least k.
+        """
+        cap = self.cap
+        if not cap:
+            return Surplus(0, None)
+        rd = sum(cap.values())
+        spare = self._spare()
+        if spare:
+            value, witness = self.size - rd, self._from_variables(spare)[1]
+        else:  # the whole set, unless some variable beats it within top
+            value, witness = sum(1 for vs in self.adj if vs) - rd, cap.keys()
+            top = value if at_most is None else min(value, at_most)
+            for v in sorted(cap):
+                saved, paths = cap[v], []
+                for s in range(1, top + 1):
+                    cap[v] += 1
+                    path, reached = self._from_variables([v])
+                    if path is None:
+                        value, witness, top = s - 1, reached, s - 1
+                        break
+                    self._augment(path)
+                    paths.append(path)
+                cap[v] = saved
+                for path in reversed(paths):
+                    self._augment([None, *path[:0:-1]])
+        found = Surplus(value, frozenset(witness))
+        assert found.witness and restrict(self.F, found.witness).delta == value
+        return found
+
+    def quasi_maximal_autarky(self) -> PartialAssignment:
+        """The assignment read off the occurrences outside ``lean``; see
+        ``quasi_maximal_matching_autarky``."""
+        return self._assignment(o for o in range(len(self.adj)) if o not in self.lean)
+
     def _assignment(self, occurrences) -> PartialAssignment:
         """Each variable matched to one of the (matched) occurrences gets its
         least value that none of them forbids; capacity |D_v| - 1 leaves one."""
@@ -197,65 +258,18 @@ def is_matching_autarky(phi: PartialAssignment, F: MultiClauseSet) -> bool:
     return IncidenceGraph(G, phi).size == G.c
 
 
-class Surplus(NamedTuple):
-    value: int
-    witness: Optional[frozenset]  # nonempty V with delta(F[V]) == value, None iff n(F) == 0
-
-
 def surplus(F: MultiClauseSet, at_most: Optional[int] = None) -> Surplus:
-    """Minimum of delta(F[V]) over nonempty variable sets V (0 when n(F)=0).
+    """Minimum of delta(F[V]) over nonempty variable sets V (0 when n(F)=0),
+    read off a fresh graph of F by ``IncidenceGraph.surplus``.
 
-    With spare capacity in a maximum matching the surplus is negative and
-    the variables alternating-reachable from the spare capacity are the
-    witness.  Otherwise, for each variable v in turn, the capacity of v is
-    raised one unit at a time, each time followed by one augmenting search
-    from v; the first failure at s extra units yields the witness reachable
-    from v with delta = s-1, and later variables only try fewer units.  The
-    matching is restored before the next v.
-    With at_most=k the search stops early and reports min(surplus, k+1)
-    style: a returned value > k only means the surplus exceeds k.
+    With at_most=k the search stops early: a value below k is exact, and a
+    value of at least k only means the surplus is at least k.
     """
-    occurring = sorted(F.var_set())
-    if not occurring:
-        return Surplus(0, None)
-    stripped = F.with_clauses({c: m for c, m in F.items() if c != BOT})
-    nontrivial = [v for v in occurring if F.table.domain_size(v) >= 2]
-    trivial = [v for v in occurring if F.table.domain_size(v) == 1]
-    best: Optional[Surplus] = None
-    if trivial:
-        v = min(trivial, key=lambda w: (stripped.var_count(w), w))
-        best = Surplus(stripped.var_count(v), frozenset([v]))
-    if not nontrivial:
-        return best
-
-    graph = IncidenceGraph(stripped)
-    spare = graph._spare()
-    found = (graph.size - stripped.rd, graph._from_variables(spare)[1]) if spare else None
-    top = stripped.delta if at_most is None else min(stripped.delta, at_most)
-    if best is not None:
-        top = min(top, best.value)
-    for v in () if spare else nontrivial:
-        saved = (graph.cap[v], graph.mate[:],
-                 {w: held[:] for w, held in graph.users.items()}, graph.size)
-        for s in range(1, top + 1):
-            graph.cap[v] += 1
-            path, reached = graph._from_variables([v])
-            if path is None:
-                found, top = (s - 1, reached), s - 1
-                break
-            graph._augment(path)
-        graph.cap[v], graph.mate, graph.users, graph.size = saved
-    if found is None:  # no variable beats the whole set within top
-        found = (stripped.delta, stripped.var_set())
-    cand = Surplus(found[0], frozenset(found[1]))
-    assert cand.witness and restrict(stripped, cand.witness).delta == cand.value
-    return cand if best is None or cand.value < best.value else best
+    return IncidenceGraph(F).surplus(at_most)
 
 
 def surplus_at_least(F: MultiClauseSet, bound: int) -> bool:
     """Whether surp(F) >= bound, stopping the search as early as possible."""
-    if not F.var_set():
-        return 0 >= bound
     return surplus(F, at_most=bound).value >= bound
 
 
@@ -283,8 +297,7 @@ def quasi_maximal_matching_autarky(F: MultiClauseSet) -> PartialAssignment:
     never to a kernel variable, so the assignment read off them satisfies
     exactly those clauses and touches no kernel clause.
     """
-    graph = IncidenceGraph(F)
-    return graph._assignment(o for o in range(len(graph.adj)) if o not in graph.lean)
+    return IncidenceGraph(F).quasi_maximal_autarky()
 
 
 def tovey_check(F: MultiClauseSet) -> bool:

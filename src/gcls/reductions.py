@@ -36,7 +36,7 @@ from .core import (
     rename,
     restrict,
 )
-from .matching import quasi_maximal_matching_autarky, surplus
+from .matching import IncidenceGraph
 
 
 # -- step records for witness reconstruction ---------------------------------
@@ -503,7 +503,8 @@ def _r_reduce_logged(F: MultiClauseSet, surplus_one: bool,
     if units:
         state.units = [clause for clause in state.mult if len(clause) == 1]
     steps: List = []
-    lean = False  # whether the last matching-autarky test found F lean
+    # the graph of the last matching-autarky test while F stayed matching lean
+    graph: Optional[IncidenceGraph] = None
     while True:
         if state.units:
             unit = state.units.pop()
@@ -516,7 +517,7 @@ def _r_reduce_logged(F: MultiClauseSet, surplus_one: bool,
             state.assign_value(v, 1 - e)
             if BOT in state.mult:
                 return state.instance(), steps
-            lean = False
+            graph = None
             continue
         state.retest_dirty()
         if state.redundant:
@@ -524,21 +525,21 @@ def _r_reduce_logged(F: MultiClauseSet, surplus_one: bool,
             steps.append(VariableEliminationStep(v, frozenset().union(*state.occ[v])))
             clause = state.redundant[v]
             state.change({clause: state.mult[clause] - 1})
-            lean = False
+            graph = None
             continue
         if state.pure:
             phi = assign(state.pure_binding())
-        elif lean:
+        elif graph is not None:
             # a non-degenerate singular DP keeps F matching lean
             phi = None
         else:
-            phi = quasi_maximal_matching_autarky(state.instance())
+            graph = IncidenceGraph(state.instance())
+            phi = graph.quasi_maximal_autarky()
         if phi:  # empty iff F is matching lean
             steps.append(AutarkyStep(phi))
             state.remove_touched(phi)
-            lean = False
+            graph = None
             continue
-        lean = True
         if state.singular:
             v = min(state.singular)
             steps.append(VariableEliminationStep(v, frozenset().union(*state.occ[v])))
@@ -549,7 +550,9 @@ def _r_reduce_logged(F: MultiClauseSet, surplus_one: bool,
             continue
         if not surplus_one or not state.occ:
             return state.instance(), steps
-        found = surplus(state.instance(), at_most=2)
+        if graph.F is not state.instance():
+            graph = IncidenceGraph(state.instance())
+        found = graph.surplus(at_most=2)
         if found.value >= 2:
             return state.instance(), steps
         # matching lean and nonempty, so the surplus is exactly one here and
@@ -561,7 +564,7 @@ def _r_reduce_logged(F: MultiClauseSet, surplus_one: bool,
         sigma = _satisfy_surplus_one_part(part)
         steps.append(AutarkyStep(sigma))
         state.remove_touched(sigma)
-        lean = False
+        graph = None
 
 
 def r_reduction(F: MultiClauseSet) -> MultiClauseSet:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 from gcls.cli import DimacsFile, _mapping_comments
 from gcls.core import (
@@ -31,6 +31,8 @@ from gcls.core import (
     touched,
 )
 from gcls.matching import (
+    IncidenceGraph,
+    Surplus,
     matching_satisfying_assignment,
     max_deficiency,
     quasi_maximal_matching_autarky,
@@ -613,6 +615,65 @@ def reference_sat_fpt_without_units(F: MultiClauseSet) -> FptResult:
         for e in reversed(G.table.domain(v)):
             stack.append((G, ForcedValueStep(v, e), mark))
     return FptResult(False, None, leaves)
+
+
+# The library's surplus as it was before the search moved onto the caller's
+# IncidenceGraph, moved here verbatim (under a new name) as the reference for
+# that method.  It handles one-value domains apart by their occurrence counts,
+# searches a second graph on F without its empty clause, and restores the
+# matching from a copy after each variable.  Its docstring's at_most sentence
+# is too strong: a value below k is exact, and a value of at least k only
+# means the surplus is at least k.
+
+
+def reference_surplus(F: MultiClauseSet, at_most: Optional[int] = None) -> Surplus:
+    """Minimum of delta(F[V]) over nonempty variable sets V (0 when n(F)=0).
+
+    With spare capacity in a maximum matching the surplus is negative and
+    the variables alternating-reachable from the spare capacity are the
+    witness.  Otherwise, for each variable v in turn, the capacity of v is
+    raised one unit at a time, each time followed by one augmenting search
+    from v; the first failure at s extra units yields the witness reachable
+    from v with delta = s-1, and later variables only try fewer units.  The
+    matching is restored before the next v.
+    With at_most=k the search stops early and reports min(surplus, k+1)
+    style: a returned value > k only means the surplus exceeds k.
+    """
+    occurring = sorted(F.var_set())
+    if not occurring:
+        return Surplus(0, None)
+    stripped = F.with_clauses({c: m for c, m in F.items() if c != BOT})
+    nontrivial = [v for v in occurring if F.table.domain_size(v) >= 2]
+    trivial = [v for v in occurring if F.table.domain_size(v) == 1]
+    best: Optional[Surplus] = None
+    if trivial:
+        v = min(trivial, key=lambda w: (stripped.var_count(w), w))
+        best = Surplus(stripped.var_count(v), frozenset([v]))
+    if not nontrivial:
+        return best
+
+    graph = IncidenceGraph(stripped)
+    spare = graph._spare()
+    found = (graph.size - stripped.rd, graph._from_variables(spare)[1]) if spare else None
+    top = stripped.delta if at_most is None else min(stripped.delta, at_most)
+    if best is not None:
+        top = min(top, best.value)
+    for v in () if spare else nontrivial:
+        saved = (graph.cap[v], graph.mate[:],
+                 {w: held[:] for w, held in graph.users.items()}, graph.size)
+        for s in range(1, top + 1):
+            graph.cap[v] += 1
+            path, reached = graph._from_variables([v])
+            if path is None:
+                found, top = (s - 1, reached), s - 1
+                break
+            graph._augment(path)
+        graph.cap[v], graph.mate, graph.users, graph.size = saved
+    if found is None:  # no variable beats the whole set within top
+        found = (stripped.delta, stripped.var_set())
+    cand = Surplus(found[0], frozenset(found[1]))
+    assert cand.witness and restrict(stripped, cand.witness).delta == cand.value
+    return cand if best is None or cand.value < best.value else best
 
 
 # Earlier library versions of the translation core and the two emitters,

@@ -203,6 +203,7 @@ class TestMeasures:
         for _ in range(60):
             F = oracles.random_instance(rng)
             m = measures(F)
+            assert F.var_set() is F.var_set()  # built once per instance
             assert m.ell == sum(m.variable_counts.values())
             for lit, cnt in m.literal_counts.items():
                 assert cnt == sum(mult for c, mult in F.items() if lit in c)
@@ -457,3 +458,22 @@ class TestDerivedResults:
                 F.with_clauses({Clause(bad): 1})
             with pytest.raises(ValueError, match=message):
                 F.with_clauses([bad])
+
+
+def test_modules_import_only_the_standard_library():
+    """The package declares no runtime dependencies (``dependencies = []``)."""
+    import ast
+    import sys
+    from pathlib import Path
+
+    import gcls
+
+    imported = set()
+    for path in Path(gcls.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert "re" in imported and "gcls" in imported
+    assert imported <= set(sys.stdlib_module_names) | {"gcls"}, imported

@@ -18,6 +18,7 @@ from gcls.core import (
 )
 from gcls.encode import vdw_instance
 from gcls.matching import (
+    IncidenceGraph,
     matching_lean_kernel,
     matching_satisfying_assignment,
     max_deficiency,
@@ -524,6 +525,22 @@ class TestFptDecision:
         nodes = record_nodes(monkeypatch)
         assert sat_fpt(horn_chain(8)) == FptResult(False, None, 1)
         assert nodes == [(G, reduced, steps)]
+
+    def test_nodes_share_one_incidence_graph(self, monkeypatch):
+        """A node's surplus-one test reads the graph of its last
+        matching-autarky test, so a node builds about one graph."""
+        builds = []
+        build = IncidenceGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncidenceGraph, "__init__", counted)
+        result = sat_fpt(oracles.random_3sat(random.Random(24), 24))
+        # seen: 146 graphs for 137 leaves; 272 with a second graph per test
+        assert not result.satisfiable and result.node_count == 137
+        assert len(builds) < 1.5 * result.node_count
 
     def test_deep_horn_chains_need_no_recursion(self):
         n = 1500
