@@ -40,9 +40,9 @@ from .musat import _classify_member, format_tree, recognize_mu1
 from .satdec import (
     BruteForceCapExceeded,
     decide,
-    find_nontrivial_autarky_bounded,
+    find_autarky,
     is_autarky,
-    lean_kernel_bounded,
+    lean_kernel,
 )
 from .structure import classify_hitting, conflict_inertia
 from .translate import (
@@ -413,7 +413,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_autarky(args: argparse.Namespace) -> int:
     F = _load(args.file)
-    phi = find_nontrivial_autarky_bounded(F)
+    phi = find_autarky(F)
     if phi is None:
         _write(None, "LEAN\n")
     else:
@@ -427,7 +427,7 @@ def cmd_autarky(args: argparse.Namespace) -> int:
 def cmd_lean_kernel(args: argparse.Namespace) -> int:
     F = _load(args.file)
     kernel = (matching_lean_kernel(F) if args.system == "matching"
-              else lean_kernel_bounded(F))
+              else lean_kernel(F))
     _write(args.output, emit_gcls(kernel))
     return 0
 

@@ -5,6 +5,19 @@ decision through matching-satisfiable restrictions, autarky search and lean
 kernel computation that are polynomial for fixed maximal deficiency, a
 branch-and-reduce decision on the boolean translation, and the implication,
 irredundancy and minimal-unsatisfiability tests built on top.
+
+Two autarky searches share the walk.  ``find_nontrivial_autarky_bounded``
+and ``lean_kernel_bounded`` are the paper's algorithm: every phi on at most
+delta* variables, composed with the matching autarky of phi * F.  The CLI
+runs ``find_autarky`` and ``lean_kernel``, which branch only on clauses the
+bound assignment touches without satisfying (Liffiton & Sakallah, SAT 2008;
+Kullmann & Marques-Silva, SAT 2015).  Their search is complete with no bound
+on the variables bound, and exponential in the worst case: it roots each
+variable v with each value in turn, an open clause is satisfied at one of
+its free variables by every autarky extending the bound one, and once every
+value of v has failed v lies in no autarky and is excluded from all later
+branches.  Both searches try the quasi-maximal matching autarky first, so
+on an input that is not matching lean both return that same autarky.
 """
 
 from __future__ import annotations
@@ -20,12 +33,14 @@ from .core import (
     Clause,
     MultiClauseSet,
     PartialAssignment,
+    _Trusted,
     apply,
     assign,
     clause_to_assignment,
     compose,
 )
 from .matching import (
+    matching_lean_kernel,
     matching_satisfying_assignment,
     max_deficiency,
     quasi_maximal_matching_autarky,
@@ -289,6 +304,157 @@ def lean_kernel_bounded(F: MultiClauseSet) -> MultiClauseSet:
         if phi is None:
             return F
         F = apply(phi, F)
+
+
+class _AutarkyWalk(_Walk):
+    """The walk with what the autarky search reads per clause.
+
+    A clause is open when the bound phi touches it without satisfying it
+    (``false[i] > 0 and sat[i] == 0``); ``open`` holds the open clauses and
+    is kept up to date by ``bind`` and ``unbind``.  ``free[i]`` counts the
+    variables of clause i that are neither bound nor excluded, where an
+    excluded variable is one shown to lie in no autarky of phi * F.  The
+    bind keeps these instead of reporting a falsified clause, so this walk
+    is searched with ``extend``, never with ``assignments``.  Both callers
+    build it after a matching step, which puts F's clauses in canonical
+    order, so the clause numbers that break ties do not depend on how F
+    was built.
+    """
+
+    __slots__ = ("literals", "open", "free", "bound", "excluded")
+
+    def __init__(self, F: MultiClauseSet):
+        super().__init__(F)
+        self.literals = [sorted(clause._by_var.items())
+                         for clause in F._clauses if clause]
+        self.open = set()
+        self.free = list(self.length)
+        self.bound: Dict[int, int] = {}
+        self.excluded = set()
+
+    def bind(self, v: int, e: int) -> None:
+        false, sat, free, opened = self.false, self.sat, self.free, self.open
+        for i, forbidden in self.occ[v]:
+            free[i] -= 1
+            if forbidden == e:
+                false[i] += 1
+                if not sat[i]:
+                    opened.add(i)
+            else:
+                sat[i] += 1
+                if sat[i] == 1:
+                    opened.discard(i)
+        self.bound[v] = e
+
+    def unbind(self, v: int, e: int) -> None:
+        false, sat, free, opened = self.false, self.sat, self.free, self.open
+        for i, forbidden in self.occ[v]:
+            free[i] += 1
+            if forbidden == e:
+                false[i] -= 1
+                if not false[i]:
+                    opened.discard(i)
+            else:
+                sat[i] -= 1
+                if not sat[i] and false[i]:
+                    opened.add(i)
+        del self.bound[v]
+
+    def _moves(self) -> List[Tuple[int, int]]:
+        """The branches at the open clause with the fewest free variables
+        (the lowest index among those), reversed so that ``pop`` takes them
+        by ascending variable, then value: each free w with each value the
+        clause does not forbid.  Empty when no free variable is left."""
+        free, bound, excluded = self.free, self.bound, self.excluded
+        i = min(self.open, key=lambda j: (free[j], j))
+        return [(w, x) for w, forbidden in reversed(self.literals[i])
+                if w not in bound and w not in excluded
+                for x in reversed(range(self.size[w])) if x != forbidden]
+
+    def extend(self, v: int, e: int) -> bool:
+        """Search for an autarky of phi * F that sets v = e, phi the bound
+        assignment (itself an autarky).  On success phi and that autarky
+        stay bound, which composed are an autarky of F; on failure the walk
+        is left as it was.
+
+        Depth-first over an explicit stack: ``stack`` holds the branches not
+        yet tried at each node of the path, and ``path`` the bind that led
+        to each node, so a node whose branches are spent undoes its bind.
+        """
+        self.bind(v, e)
+        path, stack = [(v, e)], []
+        while self.open:
+            stack.append(self._moves())
+            while not stack[-1]:
+                stack.pop()
+                self.unbind(*path.pop())
+                if not stack:
+                    return False
+            w, x = stack[-1].pop()
+            self.bind(w, x)
+            path.append((w, x))
+        return True
+
+    def root(self, v: int) -> bool:
+        """``extend`` from each value of v in turn; when every value fails,
+        v lies in no autarky of phi * F and is excluded from all later
+        branches."""
+        if any(self.extend(v, e) for e in range(self.size[v])):
+            return True
+        self.excluded.add(v)
+        for i, _ in self.occ[v]:
+            self.free[i] -= 1
+        return False
+
+
+def find_autarky(F: MultiClauseSet) -> Optional[PartialAssignment]:
+    """A non-trivial autarky for F, or None when F is lean.
+
+    When F is not matching lean, this is its quasi-maximal matching autarky,
+    the first candidate ``find_nontrivial_autarky_bounded`` tries (the empty
+    phi composed with it), so both return the same autarky there.
+
+    Otherwise the search is complete, with no bound on the number of bound
+    variables: for each variable v in ascending order and each value e, it
+    searches from {v: e}, branching at the open clause (touched but not
+    satisfied) with the fewest free variables on each free variable w with
+    each value the clause does not forbid, and answers with the first phi
+    that leaves no clause open.  An autarky psi that extends phi satisfies
+    the open clause at one of its unbound variables, so the branch psi
+    takes is tried and every autarky setting v = e is reached.  Once every
+    value of v has failed, v lies in no autarky, so it is excluded from all
+    later branches; an open clause without free variables is a dead end.
+    """
+    phi = quasi_maximal_matching_autarky(F)
+    if phi:
+        return phi
+    walk = _AutarkyWalk(F)
+    for v in walk.variables:
+        if walk.root(v):
+            return PartialAssignment(walk.bound)
+    return None
+
+
+def lean_kernel(F: MultiClauseSet) -> MultiClauseSet:
+    """The lean kernel of F, equal to ``lean_kernel_bounded(F)``.
+
+    F is first cut to its matching-lean kernel.  Then one walk roots each
+    variable not yet bound, in ascending order, as ``find_autarky`` does,
+    but every autarky found stays bound: with phi bound, the walk searches
+    phi * F, whose autarkies composed with phi are autarkies of F.  A
+    variable excluded under some phi lies in no autarky of phi * F, nor of
+    any later restriction of it, so one pass leaves a phi with phi * F lean:
+    the kernel is the clauses phi does not satisfy.
+    """
+    F = matching_lean_kernel(F)
+    walk = _AutarkyWalk(F)
+    for v in walk.variables:
+        if v not in walk.bound:
+            walk.root(v)
+    sat = iter(walk.sat)
+    return F.with_clauses(_Trusted(
+        (clause, mult) for clause, mult in F._clauses.items()
+        if not clause or not next(sat)))
 
 
 class FptResult(NamedTuple):

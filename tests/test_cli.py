@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,7 @@ from gcls.cli import emit_dimacs, emit_gcls, main, parse_dimacs, parse_gcls
 from gcls.core import PartialAssignment
 from gcls.encode import complete_graph, hypergraph_coloring, vdw_instance
 from gcls.matching import surplus
-from gcls.satdec import SatResult
+from gcls.satdec import SatResult, lean_kernel_bounded
 from gcls.translate import direct_strong, direct_weak, logarithmic, nested, reduced
 
 import oracles
@@ -264,7 +265,7 @@ class TestSelfCheck:
     def test_wrong_autarky_is_an_internal_error(self, tmp_path, capsys,
                                                 monkeypatch):
         # 1->0 touches 1:0 2:1 without satisfying it
-        monkeypatch.setattr(cli, "find_nontrivial_autarky_bounded",
+        monkeypatch.setattr(cli, "find_autarky",
                             lambda F: PartialAssignment({1: 0}))
         code, out, err = run(capsys, "autarky", write(tmp_path, SAT_TEXT))
         assert code == 1 and out == ""
@@ -300,6 +301,38 @@ class TestSolveFpt:
         path = write(tmp_path, emit_gcls(vdw_instance(2, 3, 9)))
         assert run(capsys, "solve", "--method", "fpt", path) == (
             20, "s UNSATISFIABLE\n", "")
+
+
+class TestAutarkySearchTargets:
+    """Inputs on which trying every assignment on up to delta* variables ran
+    from seconds to past a minute; the bounds leave room for a slow host."""
+
+    def test_general_lean_kernel_of_vdw_2_3_9(self, tmp_path, capsys):
+        F = vdw_instance(2, 3, 9)
+        path = write(tmp_path, emit_gcls(F))
+        start = time.perf_counter()
+        result = run(capsys, "lean-kernel", "--system", "general", path)
+        assert time.perf_counter() - start < 5
+        assert result == (0, emit_gcls(lean_kernel_bounded(F)), "")
+
+    def test_autarky_of_vdw_2_4_20(self, tmp_path, capsys):
+        F = vdw_instance(2, 4, 20)
+        path = write(tmp_path, emit_gcls(F))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "autarky", path)
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        status, values = out.splitlines()
+        assert status == "AUTARKY"
+        phi = PartialAssignment(tuple(map(int, token.split(":")))
+                                for token in values.split()[1:])
+        assert phi and oracles.brute_is_autarky(phi, F)
+
+    def test_pigeonhole_k7_with_6_colours_is_lean(self, tmp_path, capsys):
+        path = write(tmp_path, emit_gcls(hypergraph_coloring(complete_graph(7), 6)))
+        start = time.perf_counter()
+        assert run(capsys, "autarky", path) == (0, "LEAN\n", "")
+        assert time.perf_counter() - start < 20
 
 
 def outcome(capsys, argv):

@@ -12,6 +12,7 @@ from gcls.core import (
     MultiClauseSet,
     PartialAssignment,
     VariableTable,
+    _Trusted,
     apply,
     assign,
     top,
@@ -39,11 +40,13 @@ from gcls.satdec import (
     assignment_space,
     brute_force_sat,
     decide,
+    find_autarky,
     find_nontrivial_autarky_bounded,
     implies,
     is_autarky,
     is_irredundant,
     is_minimally_unsatisfiable,
+    lean_kernel,
     lean_kernel_bounded,
     sat_bounded_deficiency,
     sat_fpt,
@@ -273,6 +276,47 @@ class TestWalkAgainstReferences:
             if BOT in F:
                 seen += 1
                 assert lean_kernel_bounded(F) == oracles.brute_lean_kernel(F)
+
+
+class TestTouchedClauseSearch:
+    def test_agrees_with_the_bounded_search_and_the_oracles(self):
+        rng = random.Random(5)
+        branching = 0
+        for _ in range(3000):
+            F = oracles.random_instance(rng, max_n=5, max_c=9,
+                                        multi=rng.random() < 0.5)
+            phi = find_autarky(F)
+            reference = find_nontrivial_autarky_bounded(F)
+            assert (phi is None) == (reference is None), F
+            # equal inputs get equal answers, whatever their clause order
+            reordered = F.with_clauses(_Trusted(reversed(F.items())))
+            assert find_autarky(reordered) == phi, F
+            if phi is not None:
+                assert phi and oracles.brute_is_autarky(phi, F), F
+            matching = quasi_maximal_matching_autarky(F)
+            if matching:
+                assert phi == matching == reference, F
+            kernel = lean_kernel(F)
+            assert kernel == oracles.brute_lean_kernel(F), F
+            assert kernel == lean_kernel_bounded(F), F
+            # only matching lean instances that are not lean branch
+            branching += not matching and kernel != F
+        assert branching >= 450  # seen: 533
+
+    def test_equivalence_chain_needs_no_recursion(self):
+        # x_i <-> x_{i+1}: matching lean, and every autarky binds all n
+        # variables along one forced path
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        table = VariableTable({v: 2 for v in range(1, n + 1)})
+        F = MultiClauseSet(table, [Clause([(i, a), (i + 1, 1 - a)])
+                                   for i in range(1, n) for a in (0, 1)])
+        assert not quasi_maximal_matching_autarky(F)
+        start = time.perf_counter()
+        phi = find_autarky(F)
+        elapsed = time.perf_counter() - start
+        assert phi is not None and len(phi) == n and is_autarky(phi, F)
+        assert elapsed < 2.0  # seen: 0.03 s
 
 
 class TestDecide:
