@@ -34,12 +34,14 @@ have a complete structure theory, and this module implements it:
   sorting: hitting is a counting identity, and the tree is read off the
   occurrence counts.
 
-* ``saturate`` -- greedily widens the clauses of a minimally unsatisfiable
-  input while unsatisfiability survives, ending in a saturated set with a
-  clause-by-clause bijection to the input.
+* ``saturate`` and ``is_saturated_mu`` -- adding (v, e) to a clause C of a
+  minimally unsatisfiable set keeps it unsatisfiable exactly when every
+  model of the other clauses sets v = e, so a clause's widening is the
+  backbone of the others.  ``saturate`` adds it to each clause in one pass
+  and keeps a clause-by-clause bijection to the input; ``is_saturated_mu``
+  stops at the first literal found.
 
-* ``is_saturated_mu``, ``stability_at_least``, ``degree_measures`` --
-  saturation checking by exhaustive literal addition, bounded stability of
+* ``stability_at_least``, ``degree_measures`` -- bounded stability of
   irredundancy under partial assignments, and the min-max variable-degree
   measures.
 
@@ -48,7 +50,6 @@ Trees serialize to a parenthesized text form, see ``format_tree``.
 
 import heapq
 import itertools
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -67,6 +68,7 @@ from .core import (
 )
 from .reductions import _ReductionState, _singular_counts
 from .satdec import decide, is_irredundant, is_minimally_unsatisfiable
+from .structure import _counts_cover_space
 
 __all__ = [
     "DeficiencyOneTree",
@@ -289,21 +291,6 @@ class Mu1Classification(NamedTuple):
     diagnostic: Optional[str] = None
 
 
-def _is_hitting(F: MultiClauseSet) -> bool:
-    """Whether the unsatisfiable F is hitting (any two clauses clash).
-
-    Every total assignment over var(F) falsifies some clause of an
-    unsatisfiable F, and exactly one iff F is hitting; clause C falsifies
-    prod_{v not in C} |D_v| of them.  So F is hitting iff these counts sum
-    to the number of total assignments, compared in exact integers.
-    """
-    sizes = {v: F.table.domain_size(v) for v in F.var_set()}
-    total = math.prod(sizes.values())
-    falsified = sum(mult * (total // math.prod(sizes[lit.var] for lit in clause))
-                    for clause, mult in F.items())
-    return falsified == total
-
-
 def _tree_from_image(F: MultiClauseSet) -> DeficiencyOneTree:
     """Rebuild a tree whose image is the hitting clause-set F.
 
@@ -351,7 +338,7 @@ def _tree_from_image(F: MultiClauseSet) -> DeficiencyOneTree:
 
 def _classify_member(F: MultiClauseSet) -> Mu1Classification:
     """classify_mu1 for an F already recognised as a member."""
-    if _is_hitting(F):
+    if _counts_cover_space(F):  # hitting, as F is unsatisfiable
         try:
             return Mu1Classification("saturated", _tree_from_image(F))
         except ValueError as exc:
@@ -379,68 +366,81 @@ def classify_mu1(F: MultiClauseSet) -> Mu1Classification:
     return _classify_member(F)
 
 
-def _widen(clause: Clause, v: int, value: int) -> Clause:
-    return Clause(tuple(clause) + (Literal(v, value),))
+def _backbone(rest: MultiClauseSet, variables, method: str):
+    """Yield (v, e), v ascending, for each of the variables that takes the
+    value e in every model of the satisfiable rest.
+
+    One model gives the candidates, the values it binds.  Each is tested
+    by adding the unit clause {(v, e)}, "v != e": unsatisfiable confirms
+    it, and a new model drops every candidate it disagrees with or leaves
+    unbound (so free to take any value).  This is the model-based backbone
+    of Marques-Silva, Janota and Lynce (ECAI 2010).
+    """
+    if not variables:
+        return
+    witness = decide(rest, method).witness
+    candidates = {v: witness[v] for v in variables if v in witness}
+    for v in sorted(candidates):
+        if v not in candidates:
+            continue
+        e = candidates[v]
+        trial = _Trusted(rest.items())
+        trial[_clause({v: e})] = 1
+        witness = decide(rest.with_clauses(trial), method).witness
+        if witness is None:
+            yield Literal(v, e)
+        else:
+            candidates = {w: c for w, c in candidates.items()
+                          if witness.get(w) == c}
+
+
+def _widening(F: MultiClauseSet, clauses, idx: int, method: str):
+    """The literals each of which, added to clauses[idx], keeps the
+    minimally unsatisfiable clauses (over F's table) unsatisfiable.
+
+    Adding (v, e) to a clause C does so exactly when every model of the
+    others sets v = e: the backbone of the others on the candidate
+    variables outside C, those of F with at least two values (a
+    single-valued one would fit everywhere).
+    """
+    clause = clauses[idx]
+    rest = F.with_clauses(_Trusted.fromkeys(clauses[:idx] + clauses[idx + 1:], 1))
+    table = F.table
+    variables = [v for v in sorted(F.var_set())
+                 if table.domain_size(v) >= 2 and not clause.has_var(v)]
+    return _backbone(rest, variables, method)
 
 
 def saturate(F: MultiClauseSet, method: str = "auto") -> MultiClauseSet:
-    """Greedy saturation of a minimally unsatisfiable clause-set.
+    """Saturation of a minimally unsatisfiable clause-set.
 
-    Sweeps clauses in canonical order, variables ascending, values
-    ascending, keeping any literal addition under which the set stays
-    unsatisfiable (which then keeps it minimally unsatisfiable), until a
-    full sweep changes nothing.  Only variables of the input with at least
-    two values are considered: adding a single-valued variable never
-    changes the falsifying assignments, so it could be added everywhere
-    and saturation would be unreachable.  The result extends each input
-    clause (possibly trivially).  Raises ValueError on non-MU input.
+    One pass in canonical clause order: each clause takes on every literal
+    of its widening (see ``_widening``), with the earlier clauses already
+    widened, and the set stays minimally unsatisfiable.  One pass is a
+    fixpoint: widening a clause only adds models to the other clauses, so
+    their backbones can only shrink, and a clause done stays saturated.
+    The result extends each input clause (possibly trivially).  Raises
+    ValueError on non-MU input.
     """
     if not is_minimally_unsatisfiable(F, method):
         raise ValueError("saturate needs a minimally unsatisfiable input")
-    table = F.table
-    clauses = [c for c, _ in F.items()]
-    candidates = [v for v in sorted(F.var_set()) if table.domain_size(v) >= 2]
-    changed = True
-    while changed:
-        changed = False
-        for idx, clause in enumerate(clauses):
-            for v in candidates:
-                if clause.has_var(v):
-                    continue
-                for value in table.domain(v):
-                    trial = list(clauses)
-                    trial[idx] = _widen(clause, v, value)
-                    G = MultiClauseSet(table, {c: 1 for c in trial})
-                    if not decide(G, method).satisfiable:
-                        clause = trial[idx]
-                        clauses[idx] = clause
-                        changed = True
-                        break
+    clauses = list(F.clauses())
+    for idx, clause in enumerate(clauses):
+        clauses[idx] = Clause(itertools.chain(clause, _widening(F, clauses, idx, method)))
     return F.with_clauses({c: 1 for c in clauses})
 
 
 def is_saturated_mu(F: MultiClauseSet, method: str = "auto") -> bool:
     """Minimally unsatisfiable and no literal addition keeps it unsatisfiable.
 
-    Tries every clause C, every at-least-two-valued variable of F outside
-    C, and every value; widening a clause into a clause already present
-    collapses the two, which leaves a satisfiable proper subset, so such
-    additions count as rendering the set satisfiable.
+    Every clause's widening (see ``_widening``) must be empty; the check
+    stops at the first literal found.
     """
     if not is_minimally_unsatisfiable(F, method):
         return False
-    table = F.table
-    for clause in F.clauses():
-        rest = [c for c in F.clauses() if c != clause]
-        for v in sorted(F.var_set()):
-            if table.domain_size(v) < 2 or clause.has_var(v):
-                continue
-            for value in table.domain(v):
-                G = MultiClauseSet(
-                    table, {c: 1 for c in rest + [_widen(clause, v, value)]})
-                if not decide(G, method).satisfiable:
-                    return False
-    return True
+    clauses = F.clauses()
+    return all(next(_widening(F, clauses, idx, method), None) is None
+               for idx in range(len(clauses)))
 
 
 def stability_at_least(F: MultiClauseSet, k: int, method: str = "auto") -> bool:
@@ -526,7 +526,7 @@ def parse_tree(text: str) -> DeficiencyOneTree:
 
     def number(what):
         token = take()
-        if not token.isdigit():
+        if not token.isdecimal():
             raise ValueError(f"expected {what}, found {token!r}")
         return int(token)
 

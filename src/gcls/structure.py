@@ -43,10 +43,10 @@ involved.
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import Clause, MultiClauseSet, falsifying_count
+from .core import Clause, MultiClauseSet
 
 __all__ = [
     "ConflictMatrix",
@@ -286,13 +286,23 @@ def hitting_sat(F: MultiClauseSet) -> bool:
     """
     if not classify_hitting(F).hitting:
         raise ValueError("hitting_sat needs a hitting clause-set")
-    table = F.table
-    occurring = sorted(F.var_set())
-    space = 1
-    for v in occurring:
-        space *= table.domain_size(v)
-    covered = sum(falsifying_count(table, C, occurring) for C in F.clauses())
-    return covered != space
+    return not _counts_cover_space(F)
+
+
+def _counts_cover_space(F: MultiClauseSet) -> bool:
+    """Whether the falsifying counts of F's clause occurrences add up to
+    the number of total assignments over var(F), in exact integers.
+
+    Every total assignment falsifies at least one occurrence of an
+    unsatisfiable F, and exactly one iff F is hitting; and the clauses of a
+    hitting F falsify disjoint sets of them.  So on unsatisfiable input
+    this decides hitting, and on hitting input unsatisfiability.
+    """
+    sizes = {v: F.table.domain_size(v) for v in F.var_set()}
+    space = prod(sizes.values())
+    falsified = sum(mult * (space // prod(sizes[v] for v, _ in clause))
+                    for clause, mult in F.items())
+    return falsified == space
 
 
 class Inertia(NamedTuple):

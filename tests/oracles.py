@@ -20,6 +20,7 @@ from gcls.core import (
     BOT,
     EMPTY_ASSIGNMENT,
     Clause,
+    Literal,
     MultiClauseSet,
     PartialAssignment,
     VariableTable,
@@ -42,7 +43,13 @@ from gcls.reductions import (
     lift_through_steps,
     s_reduction_with_log,
 )
-from gcls.satdec import FptResult, SatResult, is_autarky
+from gcls.satdec import (
+    FptResult,
+    SatResult,
+    decide,
+    is_autarky,
+    is_minimally_unsatisfiable,
+)
 from gcls.structure import (
     ConflictMatrix,
     HittingClassification,
@@ -730,3 +737,76 @@ def reference_emit_dimacs(source: Union[TranslationResult, DimacsFile]) -> str:
                         for lit in sorted(clause))
         lines.extend([f"{body} 0" if body else "0"] * mult)
     return "\n".join(lines) + "\n"
+
+
+# -- saturation by literal sweeps ------------------------------------------
+#
+# moved here verbatim when musat started computing each clause's widening
+# as a backbone of the other clauses, in one pass.  They make one decide
+# call per (clause, variable, value) trial, sweep after sweep.
+
+
+def _widen(clause: Clause, v: int, value: int) -> Clause:
+    return Clause(tuple(clause) + (Literal(v, value),))
+
+
+def reference_saturate(F: MultiClauseSet, method: str = "auto") -> MultiClauseSet:
+    """The former musat.saturate: greedy saturation of a minimally
+    unsatisfiable clause-set.
+
+    Sweeps clauses in canonical order, variables ascending, values
+    ascending, keeping any literal addition under which the set stays
+    unsatisfiable (which then keeps it minimally unsatisfiable), until a
+    full sweep changes nothing.  Only variables of the input with at least
+    two values are considered: adding a single-valued variable never
+    changes the falsifying assignments, so it could be added everywhere
+    and saturation would be unreachable.  The result extends each input
+    clause (possibly trivially).  Raises ValueError on non-MU input.
+    """
+    if not is_minimally_unsatisfiable(F, method):
+        raise ValueError("saturate needs a minimally unsatisfiable input")
+    table = F.table
+    clauses = [c for c, _ in F.items()]
+    candidates = [v for v in sorted(F.var_set()) if table.domain_size(v) >= 2]
+    changed = True
+    while changed:
+        changed = False
+        for idx, clause in enumerate(clauses):
+            for v in candidates:
+                if clause.has_var(v):
+                    continue
+                for value in table.domain(v):
+                    trial = list(clauses)
+                    trial[idx] = _widen(clause, v, value)
+                    G = MultiClauseSet(table, {c: 1 for c in trial})
+                    if not decide(G, method).satisfiable:
+                        clause = trial[idx]
+                        clauses[idx] = clause
+                        changed = True
+                        break
+    return F.with_clauses({c: 1 for c in clauses})
+
+
+def reference_is_saturated_mu(F: MultiClauseSet, method: str = "auto") -> bool:
+    """The former musat.is_saturated_mu: minimally unsatisfiable and no
+    literal addition keeps it unsatisfiable.
+
+    Tries every clause C, every at-least-two-valued variable of F outside
+    C, and every value; widening a clause into a clause already present
+    collapses the two, which leaves a satisfiable proper subset, so such
+    additions count as rendering the set satisfiable.
+    """
+    if not is_minimally_unsatisfiable(F, method):
+        return False
+    table = F.table
+    for clause in F.clauses():
+        rest = [c for c in F.clauses() if c != clause]
+        for v in sorted(F.var_set()):
+            if table.domain_size(v) < 2 or clause.has_var(v):
+                continue
+            for value in table.domain(v):
+                G = MultiClauseSet(
+                    table, {c: 1 for c in rest + [_widen(clause, v, value)]})
+                if not decide(G, method).satisfiable:
+                    return False
+    return True

@@ -7,6 +7,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gcls import (
     BOT,
@@ -18,9 +20,11 @@ from gcls import (
     is_matching_lean,
     max_deficiency,
 )
+from gcls import musat
 from gcls.cli import emit_gcls, main
+from gcls.encode import complete_graph, hypergraph_coloring
 from gcls.musat import (
-    _is_hitting,
+    _backbone,
     DeficiencyOneTree,
     DegreeMeasures,
     LEAF,
@@ -36,8 +40,8 @@ from gcls.musat import (
     tree_to_clause_set,
 )
 from gcls.reductions import is_singular, resolvents, singular_dp
-from gcls.satdec import assignment_space, is_minimally_unsatisfiable
-from gcls.structure import classify_hitting, hitting_sat
+from gcls.satdec import assignment_space, decide, is_minimally_unsatisfiable
+from gcls.structure import _counts_cover_space, classify_hitting, hitting_sat
 
 import oracles
 from test_matching import matrix_example
@@ -194,6 +198,30 @@ def mu_after_removal(F, clause, lit):
     return G.c == F.c and is_minimally_unsatisfiable(G)
 
 
+def eliminated_images(rng, count, max_nodes):
+    """Tree images with random repeated literal occurrences removed; each
+    removal keeps minimal unsatisfiability at deficiency 1."""
+    for _ in range(count):
+        F = tree_to_clause_set(random_tree(rng, max_nodes))
+        for _ in range(rng.randint(0, 4)):
+            pool = [(c, lit) for c in F.clauses() for lit in c
+                    if F.count(lit) >= 2]
+            if not pool:
+                break
+            clause, lit = rng.choice(pool)
+            shrunk = Clause(l for l in clause if l != lit)
+            F = F.with_clauses(
+                {(shrunk if c == clause else c): 1 for c in F.clauses()})
+            assert is_minimally_unsatisfiable(F)
+            assert recognize_mu1(F).verdict == "mu1"
+        yield F
+
+
+def pigeonhole(k):
+    """K_{k+1} coloured with k colours: minimally unsatisfiable."""
+    return hypergraph_coloring(complete_graph(k + 1), k)
+
+
 class TestDeficiencyOneTree:
     def test_leaf(self):
         assert LEAF.is_leaf
@@ -299,11 +327,13 @@ class TestTreeSerialization:
         "* *",                      # trailing input
         "(1 (0 *) x)",              # junk token
         "(x (0 *))",                # variable not a number
+        "(\u00b2 (0 *) (1 *))",     # a digit, but not a decimal one
         "(1 (0 (1 (0 *))))",        # duplicate variable label
     ])
     def test_parse_errors(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             parse_tree(text)
+        assert "invalid literal" not in str(info.value)  # int() never sees it
 
 
 class TestRecognizeMu1:
@@ -512,7 +542,7 @@ class TestMu1AgainstReference:
             unsat = verdict == "mu1" or (assignment_space(F) <= 5_000
                                          and not oracles.brute_satisfiable(F))
             if unsat:
-                assert _is_hitting(F) == classify_hitting(F).hitting, \
+                assert _counts_cover_space(F) == classify_hitting(F).hitting, \
                     dict(F.items())
                 hitting_checked += 1
             if verdict != "mu1":
@@ -738,26 +768,104 @@ class TestSaturate:
             saturate(build())
 
     def test_random_eliminated_images_saturate_back(self):
-        # Remove random repeated literal occurrences from tree images
-        # (each removal keeps minimal unsatisfiability), then saturate.
-        rng = random.Random(404)
-        for _ in range(25):
-            tree = random_tree(rng, 8)
-            F = tree_to_clause_set(tree)
-            for _ in range(rng.randint(0, 4)):
-                pool = [(c, lit) for c in F.clauses() for lit in c
-                        if F.count(lit) >= 2]
-                if not pool:
-                    break
-                clause, lit = rng.choice(pool)
-                shrunk = Clause(l for l in clause if l != lit)
-                F = F.with_clauses(
-                    {(shrunk if c == clause else c): 1 for c in F.clauses()})
-                assert is_minimally_unsatisfiable(F)
-                assert recognize_mu1(F).verdict == "mu1"
+        for F in eliminated_images(random.Random(404), 25, 8):
             G = saturate(F)
             assert is_saturated_mu(G)
             assert G.c == F.c and G.delta == 1
+
+    def test_decide_calls_stay_within_one_per_candidate_and_clause(self, monkeypatch):
+        # The opening minimal-unsatisfiability test calls satdec's decide,
+        # so only the widening queries are counted.
+        F = horn_chain(12)
+        calls = []
+
+        def counting(G, method="auto"):
+            calls.append(method)
+            return decide(G, method)
+
+        monkeypatch.setattr(musat, "decide", counting)
+        saturate(F)
+        bound = sum(sum(not C.has_var(v) for v in F.var_set()) + 1
+                    for C in F.clauses())
+        assert bound == 145 and len(calls) <= bound
+
+
+class TestSaturationAgainstReference:
+    """saturate and is_saturated_mu agree with the literal sweeps they
+    replaced, and every saturated result checks as saturated."""
+
+    def agree(self, F, method="auto"):
+        """Check one input; whether saturation added literals."""
+        saturated = is_saturated_mu(F, method)
+        assert saturated == oracles.reference_is_saturated_mu(F, method), \
+            dict(F.items())
+        try:
+            expected = oracles.reference_saturate(F, method)
+        except ValueError:
+            with pytest.raises(ValueError):
+                saturate(F, method)
+            return False
+        G = saturate(F, method)
+        assert G == expected, dict(F.items())
+        if G == F:
+            assert saturated
+            return False
+        assert is_saturated_mu(G, method)
+        return True
+
+    @pytest.mark.parametrize("build", [
+        tree_image_example, two_var_mu2, lambda: value_units(3),
+        marginal_example, intermediate_example, boolean_chain, matrix_example,
+        lambda: MultiClauseSet(VariableTable({}), {BOT: 1}),
+        lambda: MultiClauseSet(VariableTable({1: 2}), {}),
+        lambda: MultiClauseSet(VariableTable({1: 2}), {BOT: 1, Clause([(1, 0)]): 1}),
+    ])
+    def test_fixtures(self, build):
+        self.agree(build())
+
+    def test_horn_chains(self):
+        for n in range(4, 13):
+            assert self.agree(horn_chain(n))
+
+    @pytest.mark.parametrize("k, method", [
+        (3, "auto"), (3, "bounded"), (3, "fpt"), (4, "auto"), (5, "auto"),
+    ])
+    def test_pigeonhole(self, k, method):
+        assert not self.agree(pigeonhole(k), method)
+
+    @pytest.mark.parametrize("method", ["auto", "fpt"])
+    def test_eliminated_images(self, method):
+        widened = sum(self.agree(F, method)
+                      for F in eliminated_images(random.Random(404), 40, 8))
+        assert widened >= 8
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["auto", "bounded", "fpt"]))
+def test_widening_is_the_backbone_of_the_other_clauses(rng, method):
+    """Each clause's query yields the brute-force backbone of the other
+    clauses on its candidate variables, and saturate's result takes no
+    candidate literal in any clause without becoming satisfiable."""
+    (F,) = eliminated_images(rng, 1, 6)
+    assume(F.c > 1)  # the trivial tree, which hypothesis's random draws favour
+    table, clauses = F.table, F.clauses()
+    candidates = [v for v in sorted(F.var_set()) if table.domain_size(v) >= 2]
+    for idx, clause in enumerate(clauses):
+        rest = F.with_clauses({c: 1 for c in clauses if c != clause})
+        outside = [v for v in candidates if not clause.has_var(v)]
+        models = oracles.brute_models(rest)
+        expected = [(v, models[0][v]) for v in outside if v in rest.var_set()
+                    and len({phi[v] for phi in models}) == 1]
+        assert list(_backbone(rest, outside, method)) == expected
+    G = saturate(F, method)
+    for clause in G.clauses():
+        rest = {c: 1 for c in G.clauses() if c != clause}
+        for v in candidates:
+            if clause.has_var(v):
+                continue
+            for e in table.domain(v):
+                widened = Clause(tuple(clause) + ((v, e),))
+                assert oracles.brute_satisfiable(G.with_clauses({**rest, widened: 1}))
 
 
 class TestIsSaturatedMu:
