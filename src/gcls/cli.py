@@ -1,14 +1,15 @@
 """File formats and the ``gcls`` command-line front end.
 
-Two text formats are defined here.  The native ``gcls`` format carries a
-generalised clause-set: ``c`` comment lines, a ``p gcls <nvars> <nclauses>``
-header, ``d <var> <size>`` domain declarations (undeclared variables default
-to domain size 2), and clauses as whitespace-separated ``var:val`` tokens
-terminated by a ``0`` token.  Clauses may span lines, and a repeated clause
-line raises its multiplicity.  The DIMACS format carries the boolean image of
-a translation, with the variable correspondence recorded in ``c gclsmap`` /
-``c gclsnest`` comment lines.  Both emitters are parse-stable: emitting,
-parsing and emitting again reproduces the bytes exactly.
+Three text formats share one syntax, read by one reader (``_lines`` and
+``_clauses``): ``c`` comment lines, a ``p <kind> <n> <m>`` header, then m
+lists of tokens, each terminated by a ``0`` token and free to span lines.
+``p gcls`` carries a generalised clause-set: ``d <var> <size>`` domain
+declarations (undeclared variables have domain size 2) and clauses of
+``var:val`` tokens, a repeated clause raising its multiplicity.  ``p cnf``
+(DIMACS) carries the boolean image of a translation, with the variable
+correspondence in ``c gclsmap`` / ``c gclsnest`` comment lines.  ``p hyp``
+carries a hypergraph on the vertices 1..n.  The gcls and DIMACS emitters are
+parse-stable: emitting, parsing and emitting again reproduces the bytes.
 
 The command surface (``analyze``, ``translate``, ``solve``, ``autarky``,
 ``lean-kernel``, ``mu1``, ``encode``) is thin plumbing over the library.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
     Literal,
@@ -32,9 +33,10 @@ from .core import (
     PartialAssignment,
     VariableTable,
     _clause,
+    _literal,
     _Trusted,
 )
-from .encode import hypergraph_coloring, parse_hypergraph, vdw_instance
+from .encode import Hypergraph, hypergraph_coloring, vdw_instance
 from .matching import IncidenceGraph, matching_lean_kernel
 from .musat import _classify_member, format_tree, recognize_mu1
 from .satdec import (
@@ -61,7 +63,11 @@ __all__ = [
     "main",
     "parse_dimacs",
     "parse_gcls",
+    "parse_hypergraph",
 ]
+
+
+# -- the shared reader ----------------------------------------------------------
 
 
 def _fail(line: int, column: int, message: str) -> None:
@@ -83,48 +89,98 @@ def _parse_header(raw: str, line: int, kind: str) -> Tuple[int, int]:
     tokens = _tokens(raw)
     if len(tokens) != 4 or tokens[0][1] != "p" or tokens[1][1] != kind:
         _fail(line, tokens[0][0], f"bad header: expected 'p {kind} <n> <m>'")
-    counts = []
     for column, token in tokens[2:]:
         if not token.isdecimal():  # int() reads exactly the decimal digits
             _fail(line, column, f"bad header: {token!r} is not a count")
-        counts.append(int(token))
-    return counts[0], counts[1]
+    return int(tokens[2][1]), int(tokens[3][1])
+
+
+_Body = List[Tuple[int, str, List[str]]]  # (line, raw text, its words)
+
+
+def _lines(text: str, kind: str) -> Tuple[tuple, _Body, List[str]]:
+    """The header (line, kind, n, m) read off ``p <kind> <n> <m>``, the body
+    lines and the comment lines (first word ``c``, kept verbatim) of a file.
+    Lines are split once; a token's column is only worked out for errors."""
+    lines = text.splitlines()
+    header: Optional[tuple] = None
+    body: _Body = []
+    comments: List[str] = []
+    for ln, raw in enumerate(lines, 1):
+        words = raw.split()
+        if not words:
+            continue
+        if words[0] == "c":
+            comments.append(raw)
+        elif words[0] == "p":
+            if header is not None:
+                _fail(ln, _column(raw, 0), "duplicate header")
+            header = (ln, kind, *_parse_header(raw, ln, kind))
+        elif header is None:
+            _fail(ln, _column(raw, 0), f"missing 'p {kind}' header")
+        else:
+            body.append((ln, raw, words))
+    if header is None:
+        _fail(len(lines) + 1, 1, f"missing 'p {kind}' header")
+    return header, body, comments
+
+
+def _clauses(header: tuple, body: _Body,
+             literal: Callable[[str], Optional[Literal]]) -> _Trusted:
+    """The multiplicities of the 0-terminated token lists of the body.
+    ``literal(token)`` reads a token other than ``0`` into its Literal, or
+    None for another spelling of the list end, and raises ValueError on a bad
+    token; it runs once per distinct token, and a repeat costs a dict lookup."""
+    multiplicities = _Trusted()  # every literal is checked as it is read
+    current: Dict[int, int] = {}
+    literals: List[Literal] = []  # those of current
+    checked: Dict[str, Literal] = {}  # literal tokens that passed every check
+    for ln, raw, words in body:
+        for index, token in enumerate(words):
+            lit = checked.get(token)
+            if lit is None:
+                try:
+                    lit = None if token == "0" else literal(token)
+                except ValueError as exc:  # a bad token, placed at its position
+                    raise ValueError(f"line {ln}, column {_column(raw, index)}: "
+                                     f"{exc}") from None
+                if lit is None:
+                    clause = _clause(current, literals)
+                    multiplicities[clause] = multiplicities.get(clause, 0) + 1
+                    current, literals = {}, []
+                    continue
+                checked[token] = lit
+            var, val = lit
+            if current.setdefault(var, val) != val:
+                _fail(ln, _column(raw, index), f"clashing literals on variable {var}")
+            literals.append(lit)
+    header_line, kind, _, announced = header
+    noun = "hyperedge" if kind == "hyp" else "clause"
+    if current:  # ln, raw and index still hold the last token
+        _fail(ln, _column(raw, index), f"unterminated {noun} at end of input")
+    count = sum(multiplicities.values())
+    if count != announced:
+        _fail(header_line, 1, f"bad header counts: header announces "
+                              f"{announced} {noun}s, file has {count}")
+    return multiplicities
 
 
 # -- the gcls format ------------------------------------------------------------
 
 
 def parse_gcls(text: str) -> MultiClauseSet:
-    """Parse the native format into a multi-clause-set.
-
-    Diagnostics carry the 1-based line and column of the offending token:
-    variables outside the header range, values outside the declared domain,
-    clashing literals within one clause, bad or missing headers, and header
-    counts that disagree with the file body all raise ValueError.
-    """
-    lines = text.splitlines()
-    header: Optional[Tuple[int, int, int]] = None  # (line, nvars, nclauses)
+    """Parse the native format into a multi-clause-set.  Variables outside
+    the header range, values outside the declared domain, bad declarations
+    and every fault of the shared syntax raise ValueError with the 1-based
+    line and column of the offending token."""
+    header, body, _ = _lines(text, "gcls")
+    nvars = header[2]
     sizes: Dict[int, int] = {}
-
-    # Lines are split once; a token's column is only worked out for a
-    # diagnostic.  Clause lines keep their tokens for the clause pass.
-    body: List[Tuple[int, str, List[str]]] = []
-    for ln, raw in enumerate(lines, 1):
-        words = raw.split()
-        if not words or words[0] == "c":
+    clause_lines: _Body = []
+    for ln, raw, words in body:
+        if words[0] != "d":
+            clause_lines.append((ln, raw, words))
             continue
-        head = words[0]
-        if head == "p":
-            if header is not None:
-                _fail(ln, _column(raw, 0), "duplicate header")
-            header = (ln, *_parse_header(raw, ln, "gcls"))
-            continue
-        if header is None:
-            _fail(ln, _column(raw, 0), "missing 'p gcls' header")
-        if head != "d":
-            body.append((ln, raw, words))
-            continue
-        nvars = header[1]
         if len(words) != 3 or not (words[1].isdecimal() and words[2].isdecimal()):
             _fail(ln, _column(raw, 0), "bad declaration: expected 'd <var> <size>'")
         var, size = int(words[1]), int(words[2])
@@ -137,52 +193,21 @@ def parse_gcls(text: str) -> MultiClauseSet:
             _fail(ln, _column(raw, 1),
                   f"variable {var} declared twice with different sizes")
 
-    if header is None:
-        _fail(len(lines) + 1, 1, "missing 'p gcls' header")
-    header_line, nvars, nclauses = header
+    def literal(token: str) -> Literal:
+        var_text, colon, val_text = token.partition(":")
+        # isdecimal is exactly the \d of a str pattern (category Nd)
+        if not (colon and var_text.isdecimal() and val_text.isdecimal()):
+            raise ValueError(f"bad token {token!r}: expected 'var:val' or '0'")
+        var, val = int(var_text), int(val_text)
+        if not 1 <= var <= nvars:
+            raise ValueError(f"undeclared variable {var}: header allows 1..{nvars}")
+        size = sizes.setdefault(var, 2)
+        if val >= size:
+            raise ValueError(f"value {val} out of range for variable {var} "
+                             f"(domain size {size})")
+        return _literal((var, val))
 
-    multiplicities = _Trusted()  # every literal is checked as it is read
-    count = 0
-    current: Dict[int, int] = {}
-    literals: List[Literal] = []  # those of current
-    checked: Dict[str, Literal] = {}  # literal tokens that passed every check
-    for ln, raw, words in body:
-        for index, token in enumerate(words):
-            lit = checked.get(token)
-            if lit is None:
-                if token == "0":
-                    clause = _clause(current, literals)
-                    multiplicities[clause] = multiplicities.get(clause, 0) + 1
-                    count += 1
-                    current, literals = {}, []
-                    continue
-                var_text, colon, val_text = token.partition(":")
-                # isdecimal is exactly the \d of a str pattern (category Nd)
-                if not (colon and var_text.isdecimal() and val_text.isdecimal()):
-                    _fail(ln, _column(raw, index),
-                          f"bad token {token!r}: expected 'var:val' or '0'")
-                var, val = int(var_text), int(val_text)
-                if not 1 <= var <= nvars:
-                    _fail(ln, _column(raw, index),
-                          f"undeclared variable {var}: header allows 1..{nvars}")
-                size = sizes.setdefault(var, 2)
-                if val >= size:
-                    _fail(ln, _column(raw, index),
-                          f"value {val} out of range for variable {var} "
-                          f"(domain size {size})")
-                lit = checked[token] = Literal(var, val)
-            var, val = lit
-            if current.setdefault(var, val) != val:
-                _fail(ln, _column(raw, index),
-                      f"clashing literals on variable {var}")
-            literals.append(lit)
-    if current:
-        ln, raw, words = body[-1]
-        _fail(ln, _column(raw, len(words) - 1),
-              "unterminated clause at end of input")
-    if count != nclauses:
-        _fail(header_line, 1, f"bad header counts: header announces "
-                              f"{nclauses} clauses, file has {count}")
+    multiplicities = _clauses(header, clause_lines, literal)
     return MultiClauseSet(VariableTable(sizes), multiplicities)
 
 
@@ -248,60 +273,42 @@ def parse_dimacs(text: str) -> DimacsFile:
     The table declares every variable 1..n from the header with domain 2,
     whether or not it occurs, so emitting the result reproduces the header.
     """
-    lines = text.splitlines()
-    comments: List[str] = []
-    header: Optional[Tuple[int, int, int]] = None
-    body: List[Tuple[int, str, List[str]]] = []
-    for ln, raw in enumerate(lines, 1):
-        words = raw.split()
-        if not words:
-            continue
-        if words[0] == "c":
-            comments.append(raw.rstrip("\r\n"))
-        elif words[0] == "p":
-            if header is not None:
-                _fail(ln, _column(raw, 0), "duplicate header")
-            header = (ln, *_parse_header(raw, ln, "cnf"))
-        else:
-            if header is None:
-                _fail(ln, _column(raw, 0), "missing 'p cnf' header")
-            body.append((ln, raw, words))
-    if header is None:
-        _fail(len(lines) + 1, 1, "missing 'p cnf' header")
-    header_line, nvars, nclauses = header
+    header, body, comments = _lines(text, "cnf")
+    nvars = header[2]
 
-    multiplicities = _Trusted()  # every literal is checked as it is read
-    count = 0
-    current: Dict[int, int] = {}
-    for ln, raw, words in body:
-        for index, token in enumerate(words):
-            # an optional minus, then decimal digits (int() reads them all)
-            if not (token[1:] if token[:1] == "-" else token).isdecimal():
-                _fail(ln, _column(raw, index),
-                      f"bad token {token!r}: expected an integer")
-            lit = int(token)
-            if lit == 0:
-                clause = _clause(current)
-                multiplicities[clause] = multiplicities.get(clause, 0) + 1
-                count += 1
-                current = {}
-                continue
-            var, value = (lit, 0) if lit > 0 else (-lit, 1)
-            if var > nvars:
-                _fail(ln, _column(raw, index),
-                      f"undeclared variable {var}: header allows 1..{nvars}")
-            if current.setdefault(var, value) != value:
-                _fail(ln, _column(raw, index),
-                      f"clashing literals on variable {var}")
-    if current:
-        ln, raw, words = body[-1]
-        _fail(ln, _column(raw, len(words) - 1),
-              "unterminated clause at end of input")
-    if count != nclauses:
-        _fail(header_line, 1, f"bad header counts: header announces "
-                              f"{nclauses} clauses, file has {count}")
-    table = VariableTable({v: 2 for v in range(1, nvars + 1)})
-    return DimacsFile(tuple(comments), MultiClauseSet(table, multiplicities))
+    def literal(token: str) -> Optional[Literal]:
+        # an optional minus, then decimal digits (int() reads them all)
+        if not (token[1:] if token[:1] == "-" else token).isdecimal():
+            raise ValueError(f"bad token {token!r}: expected an integer")
+        var = abs(int(token))  # 0 for '-0' and '00', which end a clause too
+        if var > nvars:
+            raise ValueError(f"undeclared variable {var}: header allows 1..{nvars}")
+        return _literal((var, 1 if token[:1] == "-" else 0)) if var else None
+
+    cnf = MultiClauseSet(VariableTable({v: 2 for v in range(1, nvars + 1)}),
+                         _clauses(header, body, literal))
+    return DimacsFile(tuple(comments), cnf)
+
+
+# -- the hypergraph format ------------------------------------------------------
+
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    """Parse ``p hyp <n> <m>``: vertex v reads as the literal (v, 0), so a
+    repeated vertex or edge collapses, but each of the m lists counts."""
+    header, body, _ = _lines(text, "hyp")
+    order = header[2]
+
+    def vertex(token: str) -> Optional[Literal]:
+        if not token.isdecimal():
+            raise ValueError(f"bad token {token!r}: expected a vertex or '0'")
+        v = int(token)
+        if v > order:
+            raise ValueError(f"vertex {v} outside 1..{order}")
+        return _literal((v, 0)) if v else None  # '00' ends an edge too
+
+    edges = _clauses(header, body, vertex)
+    return Hypergraph.build(order, [edge.variables for edge in edges])
 
 
 # -- command implementations -----------------------------------------------------

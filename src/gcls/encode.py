@@ -17,8 +17,9 @@ forbid mapping a related tuple onto a non-related one) or indirectly
 (variables are the related source tuples themselves, mapped to target
 tuples, with consistency clauses gluing shared elements together).
 
-Everything here is a pure generator; domains are 0-based indices in the
-clause-sets, with documented orderings giving the decode maps.
+The module holds generators only (``cli.parse_hypergraph`` reads ``p hyp``
+files); domains are 0-based indices in the clause-sets, with documented
+orderings giving the decode maps.
 """
 
 import itertools
@@ -33,7 +34,6 @@ __all__ = [
     "complete_graph",
     "hypergraph_coloring",
     "list_hom",
-    "parse_hypergraph",
     "relational_hom",
     "strong_coloring",
     "vdw_instance",
@@ -287,51 +287,3 @@ def relational_hom(A: Structure, B: Structure, injective: bool = False,
         return _indirect_hom(A, B)
     return _direct_hom(A, B, injective)
 
-
-def parse_hypergraph(text: str) -> Hypergraph:
-    """Read the `p hyp <vertices> <edges>` format.
-
-    Comment lines start with `c`.  After the header follow exactly the
-    announced number of hyperedges, each a whitespace-separated list of
-    vertex ids terminated by 0; edges may span lines.
-    """
-    tokens: List[str] = []
-    header = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if header is None:
-            parts = stripped.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "hyp":
-                raise ValueError(f"line {lineno}: expected header 'p hyp <n> <m>'")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed header counts") from None
-            if header[0] < 0 or header[1] < 0:
-                raise ValueError(f"line {lineno}: negative header counts")
-            continue
-        tokens.extend((lineno, tok) for tok in stripped.split())
-    if header is None:
-        raise ValueError("missing 'p hyp' header")
-    order, count = header
-    edges = []
-    current: List[int] = []
-    for lineno, tok in tokens:
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad token {tok!r}") from None
-        if v == 0:
-            edges.append(current)
-            current = []
-        elif not 1 <= v <= order:
-            raise ValueError(f"line {lineno}: vertex {v} outside 1..{order}")
-        else:
-            current.append(v)
-    if current:
-        raise ValueError("last hyperedge is not 0-terminated")
-    if len(edges) != count:
-        raise ValueError(f"header announced {count} hyperedges, found {len(edges)}")
-    return Hypergraph.build(order, edges)

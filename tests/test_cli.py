@@ -4,7 +4,8 @@ import time
 import pytest
 
 from gcls import cli
-from gcls.cli import emit_dimacs, emit_gcls, main, parse_dimacs, parse_gcls
+from gcls.cli import (emit_dimacs, emit_gcls, main, parse_dimacs, parse_gcls,
+                      parse_hypergraph)
 from gcls.core import PartialAssignment
 from gcls.encode import complete_graph, hypergraph_coloring, vdw_instance
 from gcls.matching import surplus
@@ -58,6 +59,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == ("error: line 2, column 5: bad token 'x': "
                        "expected 'var:val' or '0'\n")
+
+    def test_malformed_hypergraph_reports_line_and_column(self, tmp_path, capsys):
+        path = write(tmp_path, "p hyp 3 1\n1 +2 0\n", name="in.hyp")
+        code, out, err = run(capsys, "encode", "coloring", path, "2")
+        assert (code, out) == (2, "")
+        assert err == ("error: line 2, column 3: bad token '+2': "
+                       "expected a vertex or '0'\n")
 
     def test_brute_cap_refuses(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GCLS_BRUTE_CAP", "1")
@@ -208,6 +216,29 @@ class TestParseDiagnostics:
         with pytest.raises(ValueError) as info:
             parse_dimacs(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("parse, kind, token, noun, expected", [
+        (parse_gcls, "gcls", "1:0", "clause", "'var:val' or '0'"),
+        (parse_dimacs, "cnf", "1", "clause", "an integer"),
+        (parse_hypergraph, "hyp", "1", "hyperedge", "a vertex or '0'"),
+    ])
+    @pytest.mark.parametrize("template, message", [
+        ("{t} 0\np {kind} 2 1\n", "line 1, column 1: missing 'p {kind}' header"),
+        ("p {kind} 2 1\n  p {kind} 2 1\n{t} 0\n", "line 2, column 3: duplicate header"),
+        ("p {kind} 2 1\n{t} 0\n  {t}\n",
+         "line 3, column 3: unterminated {noun} at end of input"),
+        ("c x\np {kind} 2 2\n{t} 0\n", "line 2, column 1: bad header counts: "
+                                       "header announces 2 {noun}s, file has 1"),
+        ("p {kind} 2 1\n 1_0 {t} 0\n",
+         "line 2, column 2: bad token '1_0': expected {expected}"),
+    ])
+    def test_one_fault_one_message_in_every_format(self, parse, kind, token, noun,
+                                                   expected, template, message):
+        # the three formats share one reader for their common syntax
+        with pytest.raises(ValueError) as info:
+            parse(template.format(kind=kind, t=token))
+        assert str(info.value) == message.format(kind=kind, noun=noun,
+                                                 expected=expected)
 
     @pytest.mark.parametrize("text, comments, clauses", [
         # '-0' and '00' end a clause; any Unicode decimal digits form a number

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gcls import decide
+from gcls import decide, parse_hypergraph
 from gcls.encode import (
     Hypergraph,
     Structure,
@@ -13,7 +13,6 @@ from gcls.encode import (
     complete_graph,
     hypergraph_coloring,
     list_hom,
-    parse_hypergraph,
     relational_hom,
     strong_coloring,
     vdw_instance,
@@ -358,10 +357,40 @@ class TestParseHypergraph:
         ("p hyp two 2\n", "header"),
         ("p hyp 2 1\n1 3 0\n", "outside"),
         ("p hyp 2 1\n1 2\n", "terminated"),
-        ("p hyp 2 2\n1 0\n", "announced"),
+        ("p hyp 2 2\n1 0\n", "announces"),
         ("p hyp 1 1\nx 0\n", "bad token"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(ValueError) as err:
             parse_hypergraph(text)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        # numbers are decimal digits only, as in the gcls and DIMACS readers
+        ("p hyp 1_0 1\n1 0\n", "line 1, column 7: bad header: '1_0' is not a count"),
+        ("p hyp 2 -1\n", "line 1, column 9: bad header: '-1' is not a count"),
+        ("p hyp 2 1\n+1 0\n", "line 2, column 1: bad token '+1': expected a vertex or '0'"),
+        ("p hyp 2 1\n1 1_0 0\n",
+         "line 2, column 3: bad token '1_0': expected a vertex or '0'"),
+        ("p hyp 2 1\n1  -1 0\n",
+         "line 2, column 4: bad token '-1': expected a vertex or '0'"),
+        # a comment line has the first word 'c'
+        ("p hyp 2 1\ncx 0\n", "line 2, column 1: bad token 'cx': expected a vertex or '0'"),
+        ("cx\np hyp 2 1\n1 0\n", "line 1, column 1: missing 'p hyp' header"),
+        ("p hyp 2 1\n1  3 0\n", "line 2, column 4: vertex 3 outside 1..2"),
+        ("p hyp 2 1\n p hyp 2 1\n1 0\n", "line 2, column 2: duplicate header"),
+        ("p hyp 2 1\n1 2\n", "line 2, column 3: unterminated hyperedge at end of input"),
+        ("p hyp 2 2\n1 0\n", "line 1, column 1: bad header counts: "
+                              "header announces 2 hyperedges, file has 1"),
+        ("", "line 1, column 1: missing 'p hyp' header"),
+    ])
+    def test_line_and_column(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_hypergraph(text)
+        assert str(err.value) == message
+
+    def test_accepted_forms(self):
+        # '00' ends an edge, Unicode decimal digits are numbers, and repeats
+        # collapse although each list counts towards the header
+        G = parse_hypergraph("c x\np hyp 2 3\n1 1 2 00\n2 1 0 \u0661 0\n")
+        assert G == Hypergraph.build(2, [(1, 2), (1,)])
