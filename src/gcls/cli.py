@@ -25,7 +25,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Union,
+)
 
 from .core import (
     Literal,
@@ -48,6 +51,7 @@ from .satdec import (
 )
 from .structure import classify_hitting, conflict_inertia
 from .translate import (
+    Key,
     TranslationResult,
     direct_strong,
     direct_weak,
@@ -211,16 +215,22 @@ def parse_gcls(text: str) -> MultiClauseSet:
     return MultiClauseSet(VariableTable(sizes), multiplicities)
 
 
-def _clause_lines(F: MultiClauseSet,
-                  names: Dict[int, Sequence[str]]) -> List[str]:
-    """One line per clause occurrence of F: clauses in canonical order,
-    literals ascending, literal (v, e) printed as names[v][e].  Each
-    clause's literals are sorted once, and that sort is also its key."""
+def _clause_lines(pairs: Iterable[Tuple[Key, int]],
+                  names: Mapping[int, Sequence[str]]) -> List[str]:
+    """One line per clause occurrence: ``pairs`` are (key, multiplicity) in
+    output order, a key being a clause's literals ascending, and literal
+    (v, e) prints as names[v][e]."""
     lines: List[str] = []
-    for key, mult in sorted([(c.sort_key(), m) for c, m in F._clauses.items()]):
+    for key, mult in pairs:
         body = " ".join([names[v][e] for v, e in key])
         lines.extend([f"{body} 0" if body else "0"] * mult)
     return lines
+
+
+def _sorted_keys(F: MultiClauseSet) -> List[Tuple[Key, int]]:
+    """The (key, multiplicity) pairs of F in canonical order; each clause's
+    literals are sorted once, and that sort is also its key."""
+    return sorted([(c.sort_key(), m) for c, m in F._clauses.items()])
 
 
 def emit_gcls(F: MultiClauseSet) -> str:
@@ -230,7 +240,7 @@ def emit_gcls(F: MultiClauseSet) -> str:
     lines = [f"p gcls {max(sizes, default=0)} {F.c}"]
     lines.extend([f"d {v} {size}" for v, size in sizes.items()])
     names = {v: [f"{v}:{e}" for e in range(size)] for v, size in sizes.items()}
-    lines.extend(_clause_lines(F, names))
+    lines.extend(_clause_lines(_sorted_keys(F), names))
     return "\n".join(lines) + "\n"
 
 
@@ -256,14 +266,20 @@ def emit_dimacs(source: Union[TranslationResult, DimacsFile]) -> str:
 
     Literal b avoiding value 0 prints as the positive literal b, avoiding
     value 1 as -b.  A clause of multiplicity m produces m identical lines.
+    A translation prints from its image keys, without building its boolean
+    clause-set.
     """
     if isinstance(source, TranslationResult):
-        source = DimacsFile(_mapping_comments(source), source.boolean_cnf)
-    comments, cnf = source
-    variables = cnf.table._sizes
+        comments = _mapping_comments(source)
+        variables: Iterable[int] = source.var_map
+        pairs = sorted(source.image.items())
+    else:
+        comments, cnf = source
+        variables, pairs = cnf.table._sizes, _sorted_keys(cnf)
+    nvars = max(variables, default=0)
     lines = list(comments)
-    lines.append(f"p cnf {max(variables, default=0)} {cnf.c}")
-    lines.extend(_clause_lines(cnf, {b: (str(b), str(-b)) for b in variables}))
+    lines.append(f"p cnf {nvars} {sum([m for _, m in pairs])}")
+    lines.extend(_clause_lines(pairs, {b: (str(b), str(-b)) for b in variables}))
     return "\n".join(lines) + "\n"
 
 

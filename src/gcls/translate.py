@@ -16,31 +16,52 @@ gadget:
 * reduced: the nested chain with the negative tails cut off the first k-1
   clauses (so: unit clauses plus the all-negative clause over k-1 variables);
 * logarithmic: ceil(log2 k) bits; value i maps to the full clause falsified
-  exactly by the binary encoding of i, the unused full clauses are appended.
+  exactly by the big-endian encoding of i, the unused full clauses are
+  appended.
 
 Boolean variables use domain {0, 1}; a positive occurrence of b is the
 literal (b, 0) ("b != 0") and a negative one is (b, 1).  Assignments move in
 both directions: push_assignment turns an assignment of source variables
 into one of block variables, lift_assignment inverts that, block by block.
+
+A built-in scheme is one pattern per domain size (per size and value order
+for nested): the gadget's by-value and extra clauses as sorted tuples of
+(offset, bit) pairs over the offsets 0 .. width-1, built once per call.
+``_allocate`` gives the occurring source variables contiguous blocks that
+ascend with the variable, and shifts each pattern onto its block.  The image
+is one dict from keys -- the sorted literal tuple of a boolean clause -- to
+multiplicities.  Invariant: since the blocks are contiguous and ascend with
+the source variable, and every shifted pattern clause is sorted, the
+concatenation of a source clause's gadget clauses, taken in ascending source
+variable order, is sorted; so no key needs a sort.  ``generic`` is the
+exception: its caller-chosen blocks need not ascend, so it sorts each key.
+
+A ``TranslationResult`` holds the image, the variable map and the shifted
+patterns, which is all that printing the image needs.  The boolean
+clause-set, the gadgets as ``Clause`` objects and the inverse variable map
+are built from them on first access.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import (
-    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from .core import (
     Clause,
-    Literal,
     MultiClauseSet,
     PartialAssignment,
     VariableTable,
     _clause,
+    _literal,
     _Trusted,
 )
 from .satdec import brute_force_sat
+
+#: A gadget clause or image clause as its literals, ascending.
+Key = Tuple[Tuple[int, int], ...]
 
 
 class VariableGadget(NamedTuple):
@@ -61,123 +82,184 @@ class VariableGadget(NamedTuple):
         return self.by_value + self.extra
 
 
-class TranslationResult(NamedTuple):
-    """A boolean clause-set plus the bookkeeping to move assignments."""
+def _gadget_clause(key: Key) -> Clause:
+    """The clause of a key of ``Literal`` objects over distinct variables:
+    no clash can occur, so the clause keeps them without re-checking."""
+    return _clause(dict(key), key)
 
-    boolean_cnf: MultiClauseSet
-    var_map: Dict[int, Tuple[int, int]]
-    inverse_map: Dict[Tuple[int, int], int]
-    scheme: str
-    gadgets: Dict[int, VariableGadget]
-    source_table: VariableTable
+
+class TranslationResult:
+    """A boolean image of a clause-set plus the bookkeeping to move
+    assignments.
+
+    Built eagerly: ``scheme``; ``source_table``; ``var_map``, which maps each
+    boolean variable b to (v, j) when b is the j-th variable of the block of
+    source variable v; and ``image``, which maps each image clause, as its
+    key (its literals ascending), to its multiplicity.  Built on first
+    access: ``boolean_cnf`` (the image as a ``MultiClauseSet`` over every
+    block variable), ``gadgets`` (with ``Clause`` objects) and
+    ``inverse_map`` (the inverse of ``var_map``).  Printing needs only the
+    eager part.  A built-in scheme's key is the concatenation of the shifted
+    pattern clauses of its source clause's literals, in ascending source
+    variable order; it is sorted because the blocks are contiguous and
+    ascend with the source variable.
+    """
+
+    __slots__ = ("scheme", "source_table", "var_map", "image", "_keyed",
+                 "_boolean_cnf", "_gadgets", "_inverse_map")
+
+    def __init__(self, scheme: str, source_table: VariableTable,
+                 keyed: Dict[int, VariableGadget], image: Dict[Key, int]):
+        """``keyed`` holds each occurring source variable's gadget with its
+        clauses as keys, ``image`` the multiplicities of the image keys."""
+        self.scheme = scheme
+        self.source_table = source_table
+        self.var_map = {b: (v, j) for v, g in keyed.items()
+                        for j, b in enumerate(g.variables)}
+        self.image = image
+        self._keyed = keyed
+        self._boolean_cnf: Optional[MultiClauseSet] = None
+        self._gadgets: Optional[Dict[int, VariableGadget]] = None
+        self._inverse_map: Optional[Dict[Tuple[int, int], int]] = None
+
+    @property
+    def boolean_cnf(self) -> MultiClauseSet:
+        # nothing is re-validated: the blocks of distinct source variables
+        # are disjoint and every gadget literal lies in its block with a
+        # value in {0, 1} (_allocate makes them so, validate_scheme checks
+        # it for generic), so no image clause clashes
+        if self._boolean_cnf is None:
+            table = VariableTable(dict.fromkeys(self.var_map, 2))
+            self._boolean_cnf = MultiClauseSet(table, _Trusted(
+                [(_clause(dict(key), key), m) for key, m in self.image.items()]))
+        return self._boolean_cnf
+
+    @property
+    def gadgets(self) -> Dict[int, VariableGadget]:
+        if self._gadgets is None:
+            self._gadgets = {
+                v: VariableGadget(g.variables,
+                                  tuple(map(_gadget_clause, g.by_value)),
+                                  tuple(map(_gadget_clause, g.extra)))
+                for v, g in self._keyed.items()}
+        return self._gadgets
+
+    @property
+    def inverse_map(self) -> Dict[Tuple[int, int], int]:
+        if self._inverse_map is None:
+            self._inverse_map = {pair: b for b, pair in self.var_map.items()}
+        return self._inverse_map
 
 
 _DIRECT_SCHEMES = ("direct-weak", "direct-strong")
 
 
-def _gadget_clause(literals: Sequence[Literal]) -> Clause:
-    """A gadget clause over distinct block variables: no clash can occur,
-    so the clause keeps the given literal objects without re-checking."""
-    return _clause(dict(literals), literals)
+# -- patterns --------------------------------------------------------------------
 
 
-# -- gadget builders -----------------------------------------------------------
+class _Pattern(NamedTuple):
+    """A gadget over the block offsets 0 .. width-1; its clauses are sorted
+    tuples of (offset, bit) pairs."""
+
+    width: int
+    by_value: Tuple[Key, ...]
+    extra: Tuple[Key, ...] = ()
 
 
-def _direct_gadget(block: Sequence[int], strong: bool) -> VariableGadget:
-    pos = [Literal(b, 0) for b in block]
-    by_value = tuple(_gadget_clause([lit]) for lit in pos)
-    extra = [_gadget_clause([Literal(b, 1) for b in block])]
+def _direct_pattern(k: int, strong: bool) -> _Pattern:
+    extra = (tuple((j, 1) for j in range(k)),)
     if strong:
-        extra.extend(_gadget_clause(pair) for pair in itertools.combinations(pos, 2))
-    return VariableGadget(tuple(block), by_value, tuple(extra))
+        extra += tuple(((i, 0), (j, 0))
+                       for i, j in itertools.combinations(range(k), 2))
+    return _Pattern(k, tuple(((j, 0),) for j in range(k)), extra)
 
 
-def _nested_chain(block: Sequence[int], k: int) -> Tuple[Clause, ...]:
-    """The Horn chain E_1 .. E_k over k-1 boolean variables."""
-    neg = [Literal(b, 1) for b in block]
-    chain = [_gadget_clause(neg[:i] + [Literal(block[i], 0)])
-             for i in range(k - 1)]
-    chain.append(_gadget_clause(neg))
-    return tuple(chain)
-
-
-def _nested_gadget(block: Sequence[int], order: Sequence[int]) -> VariableGadget:
-    chain = _nested_chain(block, len(order))
-    by_value = [None] * len(order)
+def _nested_pattern(k: int, order: Sequence[int]) -> _Pattern:
+    """The Horn chain E_1 .. E_k over k-1 offsets, E_i given to the value
+    order[i-1]."""
+    neg = tuple((j, 1) for j in range(k - 1))
+    chain = [neg[:i] + ((i, 0),) for i in range(k - 1)] + [neg]
+    by_value = [()] * k
     for position, value in enumerate(order):
         by_value[value] = chain[position]
-    return VariableGadget(tuple(block), tuple(by_value))
+    return _Pattern(k - 1, tuple(by_value))
 
 
-def _reduced_gadget(block: Sequence[int]) -> VariableGadget:
-    by_value = tuple(_gadget_clause([Literal(b, 0)]) for b in block) + (
-        _gadget_clause([Literal(b, 1) for b in block]),)
-    return VariableGadget(tuple(block), by_value)
+def _reduced_pattern(k: int) -> _Pattern:
+    units = tuple(((j, 0),) for j in range(k - 1))
+    return _Pattern(k - 1, units + (tuple((j, 1) for j in range(k - 1)),))
 
 
-def _full_clause(block: Sequence[int], code: int) -> Clause:
-    width = len(block)
-    return _gadget_clause([Literal(b, (code >> (width - 1 - j)) & 1)
-                           for j, b in enumerate(block)])
-
-
-def _logarithmic_gadget(block: Sequence[int], k: int) -> VariableGadget:
-    by_value = tuple(_full_clause(block, code) for code in range(k))
-    extra = tuple(_full_clause(block, code)
-                  for code in range(k, 2 ** len(block)))
-    return VariableGadget(tuple(block), by_value, extra)
-
-
-def _allocate(F: MultiClauseSet, width) -> Dict[int, Tuple[int, ...]]:
-    """Contiguous boolean blocks per occurring source variable, ascending."""
-    blocks: Dict[int, Tuple[int, ...]] = {}
-    next_id = 1
-    for v in sorted(F.var_set()):
-        size = width(F.table.domain_size(v))
-        blocks[v] = tuple(range(next_id, next_id + size))
-        next_id += size
-    return blocks
+def _logarithmic_pattern(k: int) -> _Pattern:
+    """Value i maps to the full clause falsified by the big-endian code i."""
+    width = (k - 1).bit_length()
+    full = [tuple((j, (code >> (width - 1 - j)) & 1) for j in range(width))
+            for code in range(2 ** width)]
+    return _Pattern(width, tuple(full[:k]), tuple(full[k:]))
 
 
 # -- translation core ----------------------------------------------------------
 
 
-def _translate(F: MultiClauseSet, gadgets: Dict[int, VariableGadget],
-               tag: str) -> TranslationResult:
-    """The boolean image of F: each clause becomes the union of its
-    literals' gadget clauses, then every extra clause is appended once.
+def _allocate(F: MultiClauseSet, pattern: Callable[[int], _Pattern]
+              ) -> Dict[int, VariableGadget]:
+    """Per occurring source variable v, ascending, the pattern(v) shifted
+    onto the next contiguous block, as a gadget with its clauses as keys."""
+    keyed: Dict[int, VariableGadget] = {}
+    next_id = 1
+    for v in sorted(F.var_set()):
+        width, by_value, extra = pattern(v)
+        base = next_id
+        next_id += width
 
-    Nothing is re-validated.  This relies on three invariants that every
-    caller establishes: the gadget clauses are ``Clause`` objects whose
-    ``_by_var`` is their literal map; the blocks of distinct source
-    variables are disjoint (``_allocate`` makes them so, ``validate_scheme``
-    checks it for ``generic``), so the union of gadget clauses of one
-    source clause never clashes; and every gadget literal lies in its
-    block with a value in {0, 1} (``validate_scheme`` builds each gadget as
-    a validated instance over its block).  Each image clause keeps the
-    gadgets' own literal objects.
-    """
-    table = VariableTable({b: 2 for g in gadgets.values() for b in g.variables})
-    by_value = {v: g.by_value for v, g in gadgets.items()}
-    image = _Trusted()
+        def shift(clause: Key) -> Key:
+            return tuple([_literal((base + o, bit)) for o, bit in clause])
+        keyed[v] = VariableGadget(tuple(range(base, next_id)),
+                                  tuple(map(shift, by_value)),
+                                  tuple(map(shift, extra)))
+    return keyed
+
+
+def _image(F: MultiClauseSet, keyed: Mapping[int, VariableGadget],
+           ascending: bool) -> Dict[Key, int]:
+    """The image keys of F: each clause becomes the union of its literals'
+    gadget clauses, then every extra clause is appended once.  With
+    ``ascending`` blocks a key is the concatenation of its gadget clauses in
+    ascending source variable order; otherwise it is sorted.  Source clauses
+    are short, so adding up the gadget clauses' tuples beats a chain."""
+    by_value = {v: g.by_value for v, g in keyed.items()}
+    image: Dict[Key, int] = {}
     for clause, mult in F._clauses.items():
-        by_var: Dict[int, int] = {}
-        lits: List[Literal] = []
-        for v, e in clause._by_var.items():
-            gadget_clause = by_value[v][e]
-            by_var.update(gadget_clause._by_var)
-            lits.extend(gadget_clause)
-        boolean = _clause(by_var, lits)
-        image[boolean] = image.get(boolean, 0) + mult
-    for v in sorted(gadgets):
-        for clause in gadgets[v].extra:
-            image[clause] = image.get(clause, 0) + 1
-    cnf = MultiClauseSet(table, image)
-    var_map = {b: (v, j) for v, g in gadgets.items()
-               for j, b in enumerate(g.variables)}
-    inverse = {pair: b for b, pair in var_map.items()}
-    return TranslationResult(cnf, var_map, inverse, tag, gadgets, F.table)
+        key: Key = ()
+        for v, e in sorted(clause._by_var.items()):
+            key += by_value[v][e]
+        if not ascending:
+            key = tuple(sorted(key))
+        image[key] = image.get(key, 0) + mult
+    for v in sorted(keyed):
+        for key in keyed[v].extra:
+            image[key] = image.get(key, 0) + 1
+    return image
+
+
+def _translate(F: MultiClauseSet, pattern: Callable[[int], _Pattern],
+               scheme: str) -> TranslationResult:
+    keyed = _allocate(F, pattern)
+    return TranslationResult(scheme, F.table, keyed, _image(F, keyed, True))
+
+
+def _by_size(make: Callable[[int], _Pattern], F: MultiClauseSet
+             ) -> Callable[[int], _Pattern]:
+    """The pattern of source variable v: make(domain size), one per size."""
+    sizes = F.table._sizes
+    patterns: Dict[int, _Pattern] = {}
+
+    def pattern(v: int) -> _Pattern:
+        k = sizes[v]
+        if k not in patterns:
+            patterns[k] = make(k)
+        return patterns[k]
+    return pattern
 
 
 def direct_weak(F: MultiClauseSet) -> TranslationResult:
@@ -188,19 +270,15 @@ def direct_weak(F: MultiClauseSet) -> TranslationResult:
     Preserves the deficiency exactly, and satisfiability, leanness and
     minimal unsatisfiability as classes.
     """
-    blocks = _allocate(F, lambda k: k)
-    gadgets = {v: _direct_gadget(block, strong=False)
-               for v, block in blocks.items()}
-    return _translate(F, gadgets, "direct-weak")
+    pattern = _by_size(lambda k: _direct_pattern(k, strong=False), F)
+    return _translate(F, pattern, "direct-weak")
 
 
 def direct_strong(F: MultiClauseSet) -> TranslationResult:
     """direct_weak plus, per block, every positive binary clause: at most one
     of the block's variables may be false, i.e. at most one value is taken."""
-    blocks = _allocate(F, lambda k: k)
-    gadgets = {v: _direct_gadget(block, strong=True)
-               for v, block in blocks.items()}
-    return _translate(F, gadgets, "direct-strong")
+    pattern = _by_size(lambda k: _direct_pattern(k, strong=True), F)
+    return _translate(F, pattern, "direct-strong")
 
 
 def nested(F: MultiClauseSet,
@@ -214,34 +292,32 @@ def nested(F: MultiClauseSet,
     (default: declared order); each entry must permute the domain.
     """
     order = dict(value_order or {})
-    blocks = _allocate(F, lambda k: k - 1)
-    gadgets = {}
-    for v, block in blocks.items():
-        chosen = tuple(order.get(v, F.table.domain(v)))
-        if sorted(chosen) != list(F.table.domain(v)):
-            raise ValueError(
-                f"value order for variable {v} must permute its domain")
-        gadgets[v] = _nested_gadget(block, chosen)
-    return _translate(F, gadgets, "nested")
+    patterns: Dict[Tuple[int, ...], _Pattern] = {}
+
+    def pattern(v: int) -> _Pattern:
+        domain = F.table.domain(v)
+        chosen = tuple(order.get(v, domain))
+        if chosen not in patterns:
+            if sorted(chosen) != list(domain):
+                raise ValueError(
+                    f"value order for variable {v} must permute its domain")
+            patterns[chosen] = _nested_pattern(len(chosen), chosen)
+        return patterns[chosen]
+    return _translate(F, pattern, "nested")
 
 
 def reduced(F: MultiClauseSet) -> TranslationResult:
     """The nested chain with its negative tails removed: over |D_v| - 1
     booleans, the first |D_v| - 1 values map to positive units and the last
     value to the all-negative clause.  Nothing is appended."""
-    blocks = _allocate(F, lambda k: k - 1)
-    gadgets = {v: _reduced_gadget(block) for v, block in blocks.items()}
-    return _translate(F, gadgets, "reduced")
+    return _translate(F, _by_size(_reduced_pattern, F), "reduced")
 
 
 def logarithmic(F: MultiClauseSet) -> TranslationResult:
     """ceil(log2 |D_v|) bits per source variable; value i maps to the full
     clause falsified exactly by the big-endian encoding of i, and the unused
     codes' full clauses are appended to exclude them."""
-    blocks = _allocate(F, lambda k: max(k - 1, 1).bit_length() if k > 1 else 0)
-    gadgets = {v: _logarithmic_gadget(block, F.table.domain_size(v))
-               for v, block in blocks.items()}
-    return _translate(F, gadgets, "logarithmic")
+    return _translate(F, _by_size(_logarithmic_pattern, F), "logarithmic")
 
 
 # -- the generic scheme with validation ----------------------------------------
@@ -299,20 +375,17 @@ def generic(F: MultiClauseSet,
     Every source clause turns into the union of the gadget clauses of its
     literals, then all extra clauses are appended once.  The result is
     satisfiability-equivalent to F for any valid scheme, and each variable
-    may use a different gadget style.
+    may use a different gadget style.  A gadget clause may be any iterable
+    of (variable, value) pairs.
     """
     validate_scheme(F, gadgets)
-    used = {v: _with_clause_objects(gadgets[v]) for v in F.var_set()}
-    return _translate(F, used, "generic")
-
-
-def _with_clause_objects(gadget: VariableGadget) -> VariableGadget:
-    """The gadget with every clause a ``Clause``; a gadget whose clauses
-    already are comes back as it is."""
-    if all(isinstance(c, Clause) for c in gadget.clauses()):
-        return gadget
-    return VariableGadget(gadget.variables, tuple(map(Clause, gadget.by_value)),
-                          tuple(map(Clause, gadget.extra)))
+    keyed = {}
+    for v in sorted(F.var_set()):
+        g = gadgets[v]
+        keyed[v] = VariableGadget(tuple(g.variables),
+                                  tuple(tuple(sorted(Clause(c))) for c in g.by_value),
+                                  tuple(tuple(sorted(Clause(c))) for c in g.extra))
+    return TranslationResult("generic", F.table, keyed, _image(F, keyed, False))
 
 
 # -- assignment transfer -------------------------------------------------------
@@ -329,7 +402,7 @@ def push_assignment(translation: TranslationResult,
     """
     bindings: Dict[int, int] = {}
     for v in sorted(phi):
-        gadget = translation.gadgets.get(v)
+        gadget = translation._keyed.get(v)
         if gadget is None:
             raise ValueError(f"variable {v} is not part of the translation")
         value = phi[v]
@@ -368,8 +441,8 @@ def lift_assignment(translation: TranslationResult,
     nothing needs encoding) always resolves to its single value.
     """
     values: Dict[int, int] = {}
-    for v in sorted(translation.gadgets):
-        gadget = translation.gadgets[v]
+    for v in sorted(translation._keyed):
+        gadget = translation._keyed[v]
         bound = {b: psi[b] for b in gadget.variables if b in psi}
         if gadget.variables and not bound:
             continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from gcls.cli import DimacsFile, _mapping_comments
 from gcls.core import (
@@ -58,7 +58,6 @@ from gcls.structure import (
     conflict_matrix,
 )
 from gcls.translate import (
-    TranslationResult,
     VariableGadget,
     direct_weak,
     lift_assignment,
@@ -688,11 +687,95 @@ def reference_surplus(F: MultiClauseSet, at_most: Optional[int] = None) -> Surpl
 # from the gadgets' own clause maps without re-validation and the emitters
 # started sorting once.  They rebuild every clause through the validating
 # constructors, so they are the checked side of the differential tests in
-# test_translate.py.
+# test_translate.py.  When the library moved to image keys built from one
+# pattern per domain size, its gadget builders and block allocation moved
+# here too, rebuilt on the validating constructors, and the eager result
+# tuple with them; the library's own trusted image loop of that time
+# computed what reference_translate computes.
+
+
+class ReferenceTranslation(NamedTuple):
+    """The former translate.TranslationResult, every field built eagerly."""
+
+    boolean_cnf: MultiClauseSet
+    var_map: Dict[int, Tuple[int, int]]
+    inverse_map: Dict[Tuple[int, int], int]
+    scheme: str
+    gadgets: Dict[int, VariableGadget]
+    source_table: VariableTable
+
+
+def reference_direct_gadget(block, strong: bool) -> VariableGadget:
+    pos = [Literal(b, 0) for b in block]
+    by_value = tuple(Clause([lit]) for lit in pos)
+    extra = [Clause(Literal(b, 1) for b in block)]
+    if strong:
+        extra.extend(Clause(pair) for pair in itertools.combinations(pos, 2))
+    return VariableGadget(tuple(block), by_value, tuple(extra))
+
+
+def reference_nested_chain(block, k: int) -> Tuple[Clause, ...]:
+    """The Horn chain E_1 .. E_k over k-1 boolean variables."""
+    neg = [Literal(b, 1) for b in block]
+    chain = [Clause(neg[:i] + [Literal(block[i], 0)]) for i in range(k - 1)]
+    chain.append(Clause(neg))
+    return tuple(chain)
+
+
+def reference_nested_gadget(block, order) -> VariableGadget:
+    chain = reference_nested_chain(block, len(order))
+    by_value = [None] * len(order)
+    for position, value in enumerate(order):
+        by_value[value] = chain[position]
+    return VariableGadget(tuple(block), tuple(by_value))
+
+
+def reference_reduced_gadget(block) -> VariableGadget:
+    by_value = tuple(Clause([Literal(b, 0)]) for b in block) + (
+        Clause(Literal(b, 1) for b in block),)
+    return VariableGadget(tuple(block), by_value)
+
+
+def _reference_full_clause(block, code: int) -> Clause:
+    width = len(block)
+    return Clause(Literal(b, (code >> (width - 1 - j)) & 1)
+                  for j, b in enumerate(block))
+
+
+def reference_logarithmic_gadget(block, k: int) -> VariableGadget:
+    by_value = tuple(_reference_full_clause(block, code) for code in range(k))
+    extra = tuple(_reference_full_clause(block, code)
+                  for code in range(k, 2 ** len(block)))
+    return VariableGadget(tuple(block), by_value, extra)
+
+
+def reference_gadgets(F: MultiClauseSet, scheme: str,
+                      value_order=None) -> Dict[int, VariableGadget]:
+    """The gadgets the former library built for a named scheme: contiguous
+    blocks per occurring source variable, ascending (the former
+    translate._allocate), each filled by the scheme's gadget builder."""
+    gadgets, next_id = {}, 1
+    for v in sorted(F.var_set()):
+        k = F.table.domain_size(v)
+        width = {"direct-weak": k, "direct-strong": k,
+                 "logarithmic": max(k - 1, 1).bit_length() if k > 1 else 0,
+                 }.get(scheme, k - 1)
+        block = tuple(range(next_id, next_id + width))
+        next_id += width
+        if scheme in ("direct-weak", "direct-strong"):
+            gadgets[v] = reference_direct_gadget(block, scheme == "direct-strong")
+        elif scheme == "nested":
+            order = (value_order or {}).get(v, range(k))
+            gadgets[v] = reference_nested_gadget(block, tuple(order))
+        elif scheme == "reduced":
+            gadgets[v] = reference_reduced_gadget(block)
+        else:
+            gadgets[v] = reference_logarithmic_gadget(block, k)
+    return gadgets
 
 
 def reference_translate(F: MultiClauseSet, gadgets: Dict[int, VariableGadget],
-                        tag: str) -> TranslationResult:
+                        tag: str) -> ReferenceTranslation:
     """The former translate._translate."""
     table = VariableTable({b: 2 for g in gadgets.values() for b in g.variables})
     image: Dict[Clause, int] = {}
@@ -708,7 +791,7 @@ def reference_translate(F: MultiClauseSet, gadgets: Dict[int, VariableGadget],
     var_map = {b: (v, j) for v, g in gadgets.items()
                for j, b in enumerate(g.variables)}
     inverse = {pair: b for b, pair in var_map.items()}
-    return TranslationResult(cnf, var_map, inverse, tag, gadgets, F.table)
+    return ReferenceTranslation(cnf, var_map, inverse, tag, gadgets, F.table)
 
 
 def reference_emit_gcls(F: MultiClauseSet) -> str:
@@ -723,9 +806,9 @@ def reference_emit_gcls(F: MultiClauseSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_emit_dimacs(source: Union[TranslationResult, DimacsFile]) -> str:
+def reference_emit_dimacs(source: Union[ReferenceTranslation, DimacsFile]) -> str:
     """The former cli.emit_dimacs."""
-    if isinstance(source, TranslationResult):
+    if isinstance(source, ReferenceTranslation):
         source = DimacsFile(_mapping_comments(source), source.boolean_cnf)
     comments, cnf = source
     variables = sorted(cnf.table.variables())

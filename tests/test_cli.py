@@ -1,9 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
-from gcls import cli
+from gcls import cli, core
 from gcls.cli import (emit_dimacs, emit_gcls, main, parse_dimacs, parse_gcls,
                       parse_hypergraph)
 from gcls.core import PartialAssignment
@@ -270,6 +273,64 @@ class TestTranslateOrderByOccurrences:
             assert (code, err) == (0, "")
             assert out == emit_dimacs(nested(F, value_order=order))
         assert reordered >= 20
+
+
+class TestTranslateBuildsNoBooleanObjects:
+    def test_cmd_translate_prints_from_the_image_keys(self, tmp_path, capsys,
+                                                     monkeypatch):
+        path = write(tmp_path, emit_gcls(vdw_instance(3, 3, 8)))
+        printed = []
+
+        def emit(translation):
+            printed.append(translation)
+            return emit_dimacs(translation)
+
+        builds = []
+
+        def counted(cls):
+            init = cls.__init__
+
+            def __init__(self, *args, **kwargs):
+                builds.append(cls.__name__)
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", __init__)
+
+        counted(core.MultiClauseSet)
+        counted(core.VariableTable)
+        monkeypatch.setattr(cli, "emit_dimacs", emit)
+        runs = [["--scheme", scheme] for scheme in sorted(cli._SCHEMES)]
+        runs.append(["--scheme", "nested", "--order-by-occurrences"])
+        for argv in runs:
+            assert run(capsys, "translate", *argv, path)[0] == 0
+        # the parsed input is the only clause-set and the only table
+        assert builds == ["VariableTable", "MultiClauseSet"] * len(runs)
+        assert len(printed) == len(runs)
+        for t in printed:
+            assert (t._boolean_cnf, t._gadgets, t._inverse_map) == (None,) * 3
+
+
+class TestModuleEntryPoint:
+    def test_python_m_gcls_cli_runs_without_a_warning(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+            __file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def python(*argv):
+            return subprocess.run([sys.executable, "-W", "error", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=60)
+
+        done = python("-m", "gcls.cli", "--help")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: gcls")
+        # the package keeps exporting parse_hypergraph, without importing
+        # gcls.cli until it is asked for
+        done = python("-c", "import sys, gcls; "
+                            "print('gcls.cli' in sys.modules); "
+                            "from gcls import parse_hypergraph; "
+                            "print(parse_hypergraph is gcls.cli.parse_hypergraph)")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\nTrue\n", "")
 
 
 class TestSelfCheck:

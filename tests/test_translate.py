@@ -41,6 +41,7 @@ from test_matching import nested_gadget_example
 from test_musat import horn_chain, random_tree
 
 ALL_SCHEMES = (direct_weak, direct_strong, nested, reduced, logarithmic)
+SCHEME_TAGS = ("direct-weak", "direct-strong", "nested", "reduced", "logarithmic")
 
 
 def ternary_pair():
@@ -423,14 +424,20 @@ class TestTranslationAgainstReference:
 
     @staticmethod
     def translations(rng, F):
-        yield from (scheme(F) for scheme in ALL_SCHEMES)
+        """Fresh translations of F, each with the gadgets that the former
+        builders make for it (for generic, the gadgets it was given)."""
+        for scheme in ALL_SCHEMES:
+            t = scheme(F)
+            yield t, oracles.reference_gadgets(F, t.scheme)
         order = {}
         for v in F.var_set():
             values = list(F.table.domain(v))
             rng.shuffle(values)
             order[v] = values
-        yield nested(F, value_order=order)
-        yield generic(F, rng.choice(ALL_SCHEMES)(F).gadgets)
+        yield nested(F, value_order=order), oracles.reference_gadgets(
+            F, "nested", order)
+        gadgets = oracles.reference_gadgets(F, rng.choice(SCHEME_TAGS))
+        yield generic(F, gadgets), gadgets
 
     def test_images_and_text_match_the_former_build(self):
         seen = Counter()
@@ -444,9 +451,15 @@ class TestTranslationAgainstReference:
             seen["domain one"] += any(F.table.domain_size(v) == 1
                                       for v in F.var_set())
             seen["empty clause"] += BOT in F
-            for t in translations:
+            for t, gadgets in translations:
                 seen["translations"] += 1
-                ref = oracles.reference_translate(F, t.gadgets, t.scheme)
+                # the CLI's order of calls: the text comes first, from the
+                # image keys alone
+                dimacs = emit_dimacs(t)
+                assert (t._boolean_cnf, t._gadgets) == (None, None)
+                ref = oracles.reference_translate(F, gadgets, t.scheme)
+                assert dimacs == oracles.reference_emit_dimacs(ref)
+                assert t.gadgets == gadgets
                 assert t.boolean_cnf.items() == ref.boolean_cnf.items()
                 assert repr(t.boolean_cnf) == repr(ref.boolean_cnf)
                 assert t.boolean_cnf.table == ref.boolean_cnf.table
@@ -454,12 +467,83 @@ class TestTranslationAgainstReference:
                 built = list(t.boolean_cnf.clauses())
                 built += [c for g in t.gadgets.values() for c in g.clauses()]
                 assert all(dict(c) == c._by_var for c in built)
-                assert emit_dimacs(t) == oracles.reference_emit_dimacs(ref)
+                assert emit_dimacs(t) == dimacs
                 assert emit_gcls(t.boolean_cnf) == \
                     oracles.reference_emit_gcls(ref.boolean_cnf)
         assert seen["samples"] >= 190 and seen["translations"] >= 1300
         assert min(seen["multiplicity"], seen["domain one"],
                    seen["empty clause"]) >= 10, seen
+
+
+class TestImageKeyEdgeCases:
+    """Image keys are concatenated gadget clauses; these cases print the
+    same bytes as the former validated build."""
+
+    @staticmethod
+    def assert_former_text(t, F, gadgets):
+        ref = oracles.reference_translate(F, gadgets, t.scheme)
+        text = emit_dimacs(t)
+        assert text == oracles.reference_emit_dimacs(ref)
+        return text
+
+    @pytest.mark.parametrize("blocks", [
+        {1: (7, 8, 9), 2: (4, 5, 6), 3: (1, 2, 3)},  # descending
+        {1: (1, 4, 7), 2: (2, 5, 8), 3: (3, 6, 9)},  # interleaved
+        {1: (9, 1, 5), 2: (2, 8, 4), 3: (6, 3, 7)},  # neither
+    ])
+    def test_generic_blocks_need_not_ascend(self, blocks):
+        rng = random.Random(1502)
+        table = VariableTable({1: 3, 2: 4, 3: 2})
+        builders = {
+            1: lambda block: oracles.reference_direct_gadget(block, strong=True),
+            2: lambda block: oracles.reference_nested_gadget(block, (2, 0, 3, 1)),
+            3: lambda block: oracles.reference_logarithmic_gadget(block[:1], 2),
+        }
+        gadgets = {v: builders[v](block) for v, block in blocks.items()}
+        for _ in range(30):
+            F = MultiClauseSet(table, [
+                Clause((v, rng.randrange(table.domain_size(v)))
+                       for v in rng.sample((1, 2, 3), rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 8))])
+            used = {v: gadgets[v] for v in F.var_set()}
+            t = generic(F, used)
+            self.assert_former_text(t, F, used)
+            assert t.gadgets == used
+
+    @pytest.mark.parametrize("scheme", [nested, reduced, logarithmic])
+    def test_one_value_domains_have_empty_gadget_clauses(self, scheme):
+        # variables 1 and 3 have one value: their gadget clauses are empty
+        table = VariableTable({1: 1, 2: 3, 3: 1})
+        F = MultiClauseSet(table, {
+            Clause([(1, 0), (2, 1)]): 1,
+            Clause([(2, 1)]): 2,
+            Clause([(2, 1), (3, 0)]): 1,
+            Clause([(1, 0)]): 1,
+            Clause([(1, 0), (3, 0)]): 1,
+            BOT: 1,
+        })
+        t = scheme(F)
+        text = self.assert_former_text(
+            t, F, oracles.reference_gadgets(F, t.scheme))
+        assert "  " not in text and " \n" not in text
+        lines = text.splitlines()
+        assert lines.count("0") == 3  # three source clauses, one empty image
+        image_of_2_1 = t.gadgets[2].by_value[1].sort_key()
+        assert t.image[image_of_2_1] == 4
+
+    def test_an_image_clause_equal_to_an_extra_clause_adds_up(self):
+        F = MultiClauseSet(VariableTable({1: 2, 2: 2}),
+                           {Clause([(1, 0), (2, 0)]): 1, Clause([(1, 0)]): 2})
+        gadgets = {
+            # the extra clause repeats the gadget clause of value 0
+            1: VariableGadget((1,), (Clause([(1, 0)]), Clause([(1, 1)])),
+                              (Clause([(1, 0)]),)),
+            2: oracles.reference_direct_gadget((2, 3), strong=False),
+        }
+        t = generic(F, gadgets)
+        text = self.assert_former_text(t, F, gadgets)
+        assert t.image[((1, 0),)] == 3
+        assert text.splitlines().count("1 0") == 3
 
 
 class TestAssignmentTransfer:
