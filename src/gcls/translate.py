@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import itertools
 from typing import (
-    Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Hashable, Iterable, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 from .core import (
@@ -248,18 +249,24 @@ def _translate(F: MultiClauseSet, pattern: Callable[[int], _Pattern],
     return TranslationResult(scheme, F.table, keyed, _image(F, keyed, True))
 
 
+def _memo(key_of: Callable[[int], Hashable],
+          make: Callable[[Any], _Pattern]) -> Callable[[int], _Pattern]:
+    """The pattern of source variable v: make(key_of(v)), built once per
+    key.  key_of runs for every variable, so any check in it does too."""
+    patterns: Dict[Hashable, _Pattern] = {}
+
+    def pattern(v: int) -> _Pattern:
+        key = key_of(v)
+        if key not in patterns:
+            patterns[key] = make(key)
+        return patterns[key]
+    return pattern
+
+
 def _by_size(make: Callable[[int], _Pattern], F: MultiClauseSet
              ) -> Callable[[int], _Pattern]:
     """The pattern of source variable v: make(domain size), one per size."""
-    sizes = F.table._sizes
-    patterns: Dict[int, _Pattern] = {}
-
-    def pattern(v: int) -> _Pattern:
-        k = sizes[v]
-        if k not in patterns:
-            patterns[k] = make(k)
-        return patterns[k]
-    return pattern
+    return _memo(F.table._sizes.__getitem__, make)
 
 
 def direct_weak(F: MultiClauseSet) -> TranslationResult:
@@ -292,17 +299,17 @@ def nested(F: MultiClauseSet,
     (default: declared order); each entry must permute the domain.
     """
     order = dict(value_order or {})
-    patterns: Dict[Tuple[int, ...], _Pattern] = {}
 
-    def pattern(v: int) -> _Pattern:
+    def checked_order(v: int) -> Tuple[int, ...]:
         domain = F.table.domain(v)
         chosen = tuple(order.get(v, domain))
-        if chosen not in patterns:
-            if sorted(chosen) != list(domain):
-                raise ValueError(
-                    f"value order for variable {v} must permute its domain")
-            patterns[chosen] = _nested_pattern(len(chosen), chosen)
-        return patterns[chosen]
+        if sorted(chosen) != list(domain):
+            raise ValueError(
+                f"value order for variable {v} must permute its domain")
+        return chosen
+    # A valid order permutes range(k), so it fixes k: one pattern per order.
+    pattern = _memo(checked_order,
+                    lambda chosen: _nested_pattern(len(chosen), chosen))
     return _translate(F, pattern, "nested")
 
 

@@ -224,6 +224,15 @@ class TestNested:
         with pytest.raises(ValueError):
             nested(ternary_pair(), value_order={1: (0, 1, 1)})
 
+    def test_every_value_order_is_checked_not_only_the_first_of_its_kind(self):
+        # Variable 1's default order (0, 1) is valid; the same tuple given
+        # to the three-valued variable 2 must still be refused.
+        F = MultiClauseSet(VariableTable({1: 2, 2: 3}), [
+            Clause([(1, 0), (2, 0)]), Clause([(1, 1)]), Clause([(2, 1)]),
+        ])
+        with pytest.raises(ValueError):
+            nested(F, value_order={2: (0, 1)})
+
     def test_boolean_input_comes_back_renamed_only(self):
         F = MultiClauseSet(VariableTable({3: 2, 7: 2}), [
             Clause([(3, 0), (7, 1)]),
