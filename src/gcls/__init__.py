@@ -6,230 +6,23 @@ reductions, satisfiability deciders parameterised by maximal deficiency,
 translations to boolean CNF, conflict-structure analysis, recognition of
 minimally unsatisfiable instances of deficiency 1, and combinatorial encoders,
 plus a command-line front end (``gcls``).
+
+Each library module declares its public names in its own ``__all__``; the
+package re-exports them, plus ``parse_hypergraph`` from ``gcls.cli``.
 """
 
-from gcls.core import (
-    BOT,
-    Clause,
-    EMPTY_ASSIGNMENT,
-    Literal,
-    Measures,
-    MultiClauseSet,
-    PartialAssignment,
-    VariableTable,
-    apply,
-    assign,
-    assignment_to_clause,
-    clause_to_assignment,
-    compose,
-    cross_out,
-    domain_uniformisation,
-    falsifying_count,
-    measures,
-    rename,
-    restrict,
-    top,
-    touched,
-)
-from gcls.encode import (
-    Hypergraph,
-    Structure,
-    arithmetic_progressions,
-    complete_graph,
-    hypergraph_coloring,
-    list_hom,
-    relational_hom,
-    strong_coloring,
-    vdw_instance,
-)
-from gcls.matching import (
-    IncidenceGraph,
-    is_matching_autarky,
-    is_matching_lean,
-    is_matching_satisfiable,
-    matching_lean_kernel,
-    matching_satisfying_assignment,
-    max_deficiency,
-    quasi_maximal_matching_autarky,
-    repair_to_matching_maximum,
-    surplus,
-    surplus_at_least,
-    tovey_check,
-)
-from gcls.musat import (
-    DeficiencyOneTree,
-    DegreeMeasures,
-    LEAF,
-    Mu1Classification,
-    Mu1Verdict,
-    classify_mu1,
-    degree_measures,
-    format_tree,
-    is_saturated_mu,
-    parse_tree,
-    recognize_mu1,
-    saturate,
-    stability_at_least,
-    tree_to_clause_set,
-)
-from gcls.reductions import (
-    dp_resolve,
-    is_blocked,
-    is_singular,
-    lift_through_steps,
-    pure_variable_elimination,
-    r_reduction,
-    resolvents,
-    s_reduction,
-    singular_dp,
-    subsumption_elimination,
-    unit_clause_propagation,
-)
-from gcls.satdec import (
-    BruteForceCapExceeded,
-    brute_force_sat,
-    decide,
-    find_autarky,
-    find_nontrivial_autarky_bounded,
-    implies,
-    is_autarky,
-    is_irredundant,
-    is_minimally_unsatisfiable,
-    lean_kernel,
-    lean_kernel_bounded,
-    sat_bounded_deficiency,
-    sat_fpt,
-)
-from gcls.structure import (
-    ConflictMatrix,
-    HittingClassification,
-    Inertia,
-    Multipartition,
-    classify_hitting,
-    clause_rows,
-    conflict_inertia,
-    conflict_matrix,
-    deficiency_bound_check,
-    hermitian_rank,
-    hitting_sat,
-)
-from gcls.translate import (
-    TranslationResult,
-    VariableGadget,
-    direct_strong,
-    direct_weak,
-    generic,
-    lift_assignment,
-    logarithmic,
-    nested,
-    push_assignment,
-    reduced,
-)
+from .core import *
+from .encode import *
+from .matching import *
+from .musat import *
+from .reductions import *
+from .satdec import *
+from .structure import *
+from .translate import *
 
-__all__ = [
-    "Hypergraph",
-    "Structure",
-    "arithmetic_progressions",
-    "complete_graph",
-    "hypergraph_coloring",
-    "list_hom",
-    "parse_hypergraph",
-    "relational_hom",
-    "strong_coloring",
-    "vdw_instance",
-    "IncidenceGraph",
-    "is_matching_autarky",
-    "is_matching_lean",
-    "is_matching_satisfiable",
-    "matching_lean_kernel",
-    "matching_satisfying_assignment",
-    "max_deficiency",
-    "quasi_maximal_matching_autarky",
-    "repair_to_matching_maximum",
-    "surplus",
-    "surplus_at_least",
-    "tovey_check",
-    "DeficiencyOneTree",
-    "DegreeMeasures",
-    "LEAF",
-    "Mu1Classification",
-    "Mu1Verdict",
-    "classify_mu1",
-    "degree_measures",
-    "format_tree",
-    "is_saturated_mu",
-    "parse_tree",
-    "recognize_mu1",
-    "saturate",
-    "stability_at_least",
-    "tree_to_clause_set",
-    "dp_resolve",
-    "is_blocked",
-    "is_singular",
-    "lift_through_steps",
-    "pure_variable_elimination",
-    "r_reduction",
-    "resolvents",
-    "s_reduction",
-    "singular_dp",
-    "subsumption_elimination",
-    "unit_clause_propagation",
-    "BruteForceCapExceeded",
-    "brute_force_sat",
-    "decide",
-    "find_autarky",
-    "find_nontrivial_autarky_bounded",
-    "implies",
-    "is_autarky",
-    "is_irredundant",
-    "is_minimally_unsatisfiable",
-    "lean_kernel",
-    "lean_kernel_bounded",
-    "sat_bounded_deficiency",
-    "sat_fpt",
-    "ConflictMatrix",
-    "HittingClassification",
-    "Inertia",
-    "Multipartition",
-    "classify_hitting",
-    "clause_rows",
-    "conflict_inertia",
-    "conflict_matrix",
-    "deficiency_bound_check",
-    "hermitian_rank",
-    "hitting_sat",
-    "TranslationResult",
-    "VariableGadget",
-    "direct_strong",
-    "direct_weak",
-    "generic",
-    "lift_assignment",
-    "logarithmic",
-    "nested",
-    "push_assignment",
-    "reduced",
-    "BOT",
-    "Clause",
-    "EMPTY_ASSIGNMENT",
-    "Literal",
-    "Measures",
-    "MultiClauseSet",
-    "PartialAssignment",
-    "VariableTable",
-    "apply",
-    "assign",
-    "assignment_to_clause",
-    "clause_to_assignment",
-    "compose",
-    "cross_out",
-    "domain_uniformisation",
-    "falsifying_count",
-    "measures",
-    "rename",
-    "restrict",
-    "top",
-    "touched",
-]
+__all__ = (core.__all__ + encode.__all__ + matching.__all__ + musat.__all__
+           + reductions.__all__ + satdec.__all__ + structure.__all__
+           + translate.__all__ + ["parse_hypergraph"])
 
 
 def __getattr__(name: str):

@@ -58,6 +58,7 @@ from .translate import (
     logarithmic,
     nested,
     reduced,
+    _DIRECT_SCHEMES,
 )
 
 __all__ = [
@@ -255,8 +256,7 @@ class DimacsFile(NamedTuple):
 
 
 def _mapping_comments(translation: TranslationResult) -> Tuple[str, ...]:
-    tag = ("gclsmap" if translation.scheme in ("direct-weak", "direct-strong")
-           else "gclsnest")
+    tag = "gclsmap" if translation.scheme in _DIRECT_SCHEMES else "gclsnest"
     return tuple(f"c {tag} {b} {v} {j}"
                  for b, (v, j) in sorted(translation.var_map.items()))
 

@@ -19,6 +19,30 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Tuple
 
+__all__ = [
+    "BOT",
+    "Clause",
+    "EMPTY_ASSIGNMENT",
+    "Literal",
+    "Measures",
+    "MultiClauseSet",
+    "PartialAssignment",
+    "VariableTable",
+    "apply",
+    "assign",
+    "assignment_to_clause",
+    "clause_to_assignment",
+    "compose",
+    "cross_out",
+    "domain_uniformisation",
+    "falsifying_count",
+    "measures",
+    "rename",
+    "restrict",
+    "top",
+    "touched",
+]
+
 
 class Literal(NamedTuple):
     var: int

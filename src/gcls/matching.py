@@ -38,6 +38,21 @@ from gcls.core import (
     restrict,
 )
 
+__all__ = [
+    "IncidenceGraph",
+    "is_matching_autarky",
+    "is_matching_lean",
+    "is_matching_satisfiable",
+    "matching_lean_kernel",
+    "matching_satisfying_assignment",
+    "max_deficiency",
+    "quasi_maximal_matching_autarky",
+    "repair_to_matching_maximum",
+    "surplus",
+    "surplus_at_least",
+    "tovey_check",
+]
+
 
 class Surplus(NamedTuple):
     value: int

@@ -38,6 +38,20 @@ from .core import (
 )
 from .matching import IncidenceGraph
 
+__all__ = [
+    "dp_resolve",
+    "is_blocked",
+    "is_singular",
+    "lift_through_steps",
+    "pure_variable_elimination",
+    "r_reduction",
+    "resolvents",
+    "s_reduction",
+    "singular_dp",
+    "subsumption_elimination",
+    "unit_clause_propagation",
+]
+
 
 # -- step records for witness reconstruction ---------------------------------
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -47,6 +46,22 @@ from .matching import (
 )
 from .reductions import ForcedValueStep, lift_through_steps, s_reduction_with_log
 
+__all__ = [
+    "BruteForceCapExceeded",
+    "brute_force_sat",
+    "decide",
+    "find_autarky",
+    "find_nontrivial_autarky_bounded",
+    "implies",
+    "is_autarky",
+    "is_irredundant",
+    "is_minimally_unsatisfiable",
+    "lean_kernel",
+    "lean_kernel_bounded",
+    "sat_bounded_deficiency",
+    "sat_fpt",
+]
+
 #: Default ceiling on the assignment space brute_force_sat will enumerate.
 DEFAULT_BRUTE_CAP = 20_000_000
 
@@ -55,12 +70,7 @@ AUTO_BRUTE_LIMIT = 10 ** 6
 
 
 class BruteForceCapExceeded(RuntimeError):
-    """The total-assignment space is larger than the configured cap."""
-
-
-def _brute_cap() -> int:
-    raw = os.environ.get("GCLS_BRUTE_CAP")
-    return int(raw) if raw else DEFAULT_BRUTE_CAP
+    """The total-assignment space is larger than DEFAULT_BRUTE_CAP."""
 
 
 def assignment_space(F: MultiClauseSet) -> int:
@@ -194,25 +204,23 @@ class _Walk:
         return sum(self.cap[w] for w in occurring.difference(subset))
 
 
-def brute_force_sat(F: MultiClauseSet,
-                    cap: Optional[int] = None) -> Optional[PartialAssignment]:
+def brute_force_sat(F: MultiClauseSet) -> Optional[PartialAssignment]:
     """First satisfying total assignment over var(F) in lexicographic order.
 
     Variables ascend by id, values by magnitude.  Returns None when F is
-    unsatisfiable.  When the assignment space exceeds the cap (argument,
-    else GCLS_BRUTE_CAP, else 2*10^7) it refuses by raising
-    BruteForceCapExceeded before any work -- it never guesses.
+    unsatisfiable.  When the assignment space exceeds DEFAULT_BRUTE_CAP it
+    refuses by raising BruteForceCapExceeded before any work -- it never
+    guesses.
 
     The search is a backtracking walk in that order.  F containing the empty
     clause is answered at once (no assignment satisfies it), and a prefix
     that falsifies a non-empty clause is cut with its subtree (no model
     extends it), so the first total assignment reached is the first model.
     """
-    limit = _brute_cap() if cap is None else cap
     space = assignment_space(F)
-    if space > limit:
+    if space > DEFAULT_BRUTE_CAP:
         raise BruteForceCapExceeded(
-            f"{space} total assignments exceed the cap of {limit}")
+            f"{space} total assignments exceed the cap of {DEFAULT_BRUTE_CAP}")
     if BOT in F:
         return None
     walk = _Walk(F)

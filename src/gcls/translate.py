@@ -61,6 +61,19 @@ from .core import (
 )
 from .satdec import brute_force_sat
 
+__all__ = [
+    "TranslationResult",
+    "VariableGadget",
+    "direct_strong",
+    "direct_weak",
+    "generic",
+    "lift_assignment",
+    "logarithmic",
+    "nested",
+    "push_assignment",
+    "reduced",
+]
+
 #: A gadget clause or image clause as its literals, ascending.
 Key = Tuple[Tuple[int, int], ...]
 

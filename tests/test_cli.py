@@ -71,7 +71,7 @@ class TestExitCodes:
                        "expected a vertex or '0'\n")
 
     def test_brute_cap_refuses(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GCLS_BRUTE_CAP", "1")
+        monkeypatch.setattr("gcls.satdec.DEFAULT_BRUTE_CAP", 1)
         code, out, err = run(capsys, "solve", "--method", "brute",
                              write(tmp_path, SAT_TEXT))
         assert code == 3 and out == ""

@@ -460,6 +460,55 @@ class TestDerivedResults:
                 F.with_clauses([bad])
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: VariableTable([(1, 2), (1, 3)]),
+                 "variable 1 declared twice with different sizes", id="table"),
+    pytest.param(lambda: BOOL3.declare(1, 3),
+                 "variable 1 already declared with size 2", id="declare"),
+    pytest.param(lambda: BOOL3.merge(VariableTable({3: 4})),
+                 "tables disagree on domain size of variable 3", id="merge"),
+    pytest.param(lambda: MultiClauseSet(BOOL3, {C1: -1}),
+                 "negative multiplicity", id="multiplicity"),
+    pytest.param(lambda: PartialAssignment([(1, 0), (1, 1)]),
+                 "variable 1 bound twice", id="assignment"),
+    pytest.param(lambda: apply(PartialAssignment({1: 2}), F_BOOL),
+                 "value 2 outside domain of variable 1", id="apply"),
+    pytest.param(lambda: rename(F_BOOL, 1, 9, {0: 0, 1: 1}),
+                 "target variable 9 not declared", id="rename-target"),
+    pytest.param(lambda: rename(F_BOOL, 1, 1, {0: 0}),
+                 "value map does not cover occurring value 1", id="rename-cover"),
+    pytest.param(lambda: rename(F_BOOL, 1, 1, {0: 0, 1: 2}),
+                 "value map sends 1 outside the domain of 1", id="rename-image"),
+])
+def test_outside_input_is_refused(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_package_exports_each_module_name_once():
+    """``gcls.__all__`` is the library modules' ``__all__`` lists plus the
+    CLI's ``parse_hypergraph``; each class and function is exported by the
+    module that defines it."""
+    import importlib
+
+    import gcls
+
+    names = ["parse_hypergraph"]
+    for name in ("core", "encode", "matching", "musat", "reductions", "satdec",
+                 "structure", "translate"):
+        module = importlib.import_module(f"gcls.{name}")
+        names += module.__all__
+        for public in module.__all__:
+            obj = getattr(module, public)
+            if callable(obj):
+                assert obj.__module__ == module.__name__, public
+    assert len(set(gcls.__all__)) == len(gcls.__all__)
+    assert sorted(gcls.__all__) == sorted(names)
+    for name in gcls.__all__:
+        getattr(gcls, name)
+
+
 def test_modules_import_only_the_standard_library():
     """The package declares no runtime dependencies (``dependencies = []``)."""
     import ast

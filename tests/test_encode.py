@@ -80,6 +80,26 @@ def has_homomorphism(A, B, injective=False):
     return False
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Hypergraph.build(-1, []),
+                 "vertex count must be >= 0", id="order"),
+    pytest.param(lambda: arithmetic_progressions(0, 5),
+                 "need k >= 1 and n >= 0", id="progression-length"),
+    pytest.param(lambda: arithmetic_progressions(3, -1),
+                 "need k >= 1 and n >= 0", id="progression-range"),
+    pytest.param(lambda: strong_coloring(triangle(), 0),
+                 "need at least one colour", id="strong-colours"),
+    pytest.param(lambda: Structure.build([0, 1], []),
+                 "universe elements must be positive integers", id="universe"),
+    pytest.param(lambda: Structure.build([1, 2], [[(1, 3)]]),
+                 "tuple (1, 3) leaves the universe", id="tuple"),
+])
+def test_outside_input_is_refused(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 class TestHypergraph:
     def test_build_dedupes_and_sorts(self):
         G = Hypergraph.build(3, [(2, 1), (1, 2), (3,)])

@@ -456,6 +456,18 @@ class TestSReduction:
             if oracles.brute_satisfiable(F):
                 assert_lift_recovers_model(F, G, steps)
 
+    def test_unit_rule_skips_a_unit_on_a_non_boolean_variable(self):
+        # the only unit clause, {1:2}, lies on a 3-valued variable: the unit
+        # rule forces boolean variables only, so it logs nothing here
+        table = VariableTable({1: 3, 2: 2, 3: 2})
+        F = MultiClauseSet(table, [Clause(c) for c in (
+            [(1, 2)], [(1, 0), (2, 0)], [(1, 1), (2, 1), (3, 0)],
+            [(2, 0), (3, 1)], [(2, 1), (3, 1)])])
+        G, steps = s_reduction_with_log(F, units=True)
+        assert not any(isinstance(s, ForcedValueStep) for s in steps)
+        assert (G, steps) == s_reduction_with_log(F)
+        assert G.items() == s_reduction(F).items()
+
     def test_boolean_descent_after_reduction(self):
         # On a reduced boolean instance with variables left, any single
         # assignment pushes the maximal deficiency strictly below delta.

@@ -88,20 +88,15 @@ class TestBruteForce:
                 assert got is None
         assert seen
 
-    def test_refuses_oversized_spaces(self):
+    def test_refuses_oversized_spaces(self, monkeypatch):
         table = VariableTable({v: 2 for v in range(1, 6)})
         F = MultiClauseSet(table, [Clause([(v, 0)]) for v in range(1, 6)])
         assert assignment_space(F) == 32
-        with pytest.raises(BruteForceCapExceeded):
-            brute_force_sat(F, cap=31)
-        assert brute_force_sat(F, cap=32) is not None
-
-    def test_cap_env_override(self, monkeypatch):
-        table = VariableTable({v: 2 for v in range(1, 6)})
-        F = MultiClauseSet(table, [Clause([(v, 0)]) for v in range(1, 6)])
-        monkeypatch.setenv("GCLS_BRUTE_CAP", "16")
+        monkeypatch.setattr("gcls.satdec.DEFAULT_BRUTE_CAP", 31)
         with pytest.raises(BruteForceCapExceeded):
             brute_force_sat(F)
+        monkeypatch.setattr("gcls.satdec.DEFAULT_BRUTE_CAP", 32)
+        assert brute_force_sat(F) is not None
 
 
 class TestBoundedDeficiencyDecision:

@@ -621,6 +621,13 @@ class TestAssignmentTransfer:
         with pytest.raises(ValueError, match="rules out every value"):
             lift_assignment(t, PartialAssignment({1: 1}))
 
+    def test_lift_rejects_an_unused_logarithmic_code(self):
+        # a 3-valued variable gets a 2-bit block; the bits (1, 1) falsify
+        # only the extra clause, which excludes the unused code
+        t = logarithmic(ternary_pair())
+        with pytest.raises(ValueError, match="does not determine a value for variable 1"):
+            lift_assignment(t, PartialAssignment({1: 1, 2: 1}))
+
     def test_autarkies_transfer_both_ways_under_direct(self):
         rng = random.Random(712)
         autarkies = 0
