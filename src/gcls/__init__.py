@@ -30,6 +30,6 @@ def __getattr__(name: str):
     the CLI module with the package would put it in ``sys.modules`` before
     ``python -m gcls.cli`` runs it, which makes runpy warn."""
     if name == "parse_hypergraph":
-        from gcls.cli import parse_hypergraph
+        from .cli import parse_hypergraph
         return parse_hypergraph
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -169,9 +169,7 @@ class VariableTable:
 
 
 def _clause_items(clauses) -> Iterator[Tuple[Clause, int]]:
-    if isinstance(clauses, MultiClauseSet):
-        yield from clauses.items()
-    elif isinstance(clauses, Mapping):
+    if isinstance(clauses, Mapping):
         yield from clauses.items()
     else:
         for entry in clauses:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional
 
-from gcls.core import (
+from .core import (
     MultiClauseSet,
     PartialAssignment,
     compose,

@@ -366,7 +366,7 @@ def classify_mu1(F: MultiClauseSet) -> Mu1Classification:
     return _classify_member(F)
 
 
-def _backbone(rest: MultiClauseSet, variables, method: str):
+def _backbone(rest: MultiClauseSet, variables):
     """Yield (v, e), v ascending, for each of the variables that takes the
     value e in every model of the satisfiable rest.
 
@@ -378,7 +378,7 @@ def _backbone(rest: MultiClauseSet, variables, method: str):
     """
     if not variables:
         return
-    witness = decide(rest, method).witness
+    witness = decide(rest).witness
     candidates = {v: witness[v] for v in variables if v in witness}
     for v in sorted(candidates):
         if v not in candidates:
@@ -386,7 +386,7 @@ def _backbone(rest: MultiClauseSet, variables, method: str):
         e = candidates[v]
         trial = _Trusted(rest.items())
         trial[_clause({v: e})] = 1
-        witness = decide(rest.with_clauses(trial), method).witness
+        witness = decide(rest.with_clauses(trial)).witness
         if witness is None:
             yield Literal(v, e)
         else:
@@ -394,7 +394,7 @@ def _backbone(rest: MultiClauseSet, variables, method: str):
                           if witness.get(w) == c}
 
 
-def _widening(F: MultiClauseSet, clauses, idx: int, method: str):
+def _widening(F: MultiClauseSet, clauses, idx: int):
     """The literals each of which, added to clauses[idx], keeps the
     minimally unsatisfiable clauses (over F's table) unsatisfiable.
 
@@ -408,10 +408,10 @@ def _widening(F: MultiClauseSet, clauses, idx: int, method: str):
     table = F.table
     variables = [v for v in sorted(F.var_set())
                  if table.domain_size(v) >= 2 and not clause.has_var(v)]
-    return _backbone(rest, variables, method)
+    return _backbone(rest, variables)
 
 
-def saturate(F: MultiClauseSet, method: str = "auto") -> MultiClauseSet:
+def saturate(F: MultiClauseSet) -> MultiClauseSet:
     """Saturation of a minimally unsatisfiable clause-set.
 
     One pass in canonical clause order: each clause takes on every literal
@@ -422,28 +422,28 @@ def saturate(F: MultiClauseSet, method: str = "auto") -> MultiClauseSet:
     The result extends each input clause (possibly trivially).  Raises
     ValueError on non-MU input.
     """
-    if not is_minimally_unsatisfiable(F, method):
+    if not is_minimally_unsatisfiable(F):
         raise ValueError("saturate needs a minimally unsatisfiable input")
     clauses = list(F.clauses())
     for idx, clause in enumerate(clauses):
-        clauses[idx] = Clause(itertools.chain(clause, _widening(F, clauses, idx, method)))
+        clauses[idx] = Clause(itertools.chain(clause, _widening(F, clauses, idx)))
     return F.with_clauses({c: 1 for c in clauses})
 
 
-def is_saturated_mu(F: MultiClauseSet, method: str = "auto") -> bool:
+def is_saturated_mu(F: MultiClauseSet) -> bool:
     """Minimally unsatisfiable and no literal addition keeps it unsatisfiable.
 
     Every clause's widening (see ``_widening``) must be empty; the check
     stops at the first literal found.
     """
-    if not is_minimally_unsatisfiable(F, method):
+    if not is_minimally_unsatisfiable(F):
         return False
     clauses = F.clauses()
-    return all(next(_widening(F, clauses, idx, method), None) is None
+    return all(next(_widening(F, clauses, idx), None) is None
                for idx in range(len(clauses)))
 
 
-def stability_at_least(F: MultiClauseSet, k: int, method: str = "auto") -> bool:
+def stability_at_least(F: MultiClauseSet, k: int) -> bool:
     """Whether every assignment of at most k variables leaves F irredundant.
 
     k = 0 asks for irredundancy of F itself; negative k is vacuously true.
@@ -456,7 +456,7 @@ def stability_at_least(F: MultiClauseSet, k: int, method: str = "auto") -> bool:
         for subset in itertools.combinations(variables, r):
             for values in itertools.product(*(table.domain(v) for v in subset)):
                 phi = PartialAssignment(zip(subset, values))
-                if not is_irredundant(apply(phi, F), method):
+                if not is_irredundant(apply(phi, F)):
                     return False
     return True
 

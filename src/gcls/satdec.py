@@ -534,6 +534,8 @@ def sat_fpt(F: MultiClauseSet) -> FptResult:
 def decide(F: MultiClauseSet, method: str = "auto") -> SatResult:
     """Dispatch to one SAT back-end; "auto" means brute force on assignment
     spaces up to 10^6 and branch-and-reduce beyond."""
+    if method == "auto":
+        method = "brute" if assignment_space(F) <= AUTO_BRUTE_LIMIT else "fpt"
     if method == "brute":
         witness = brute_force_sat(F)
         return SatResult(witness is not None, witness)
@@ -542,31 +544,25 @@ def decide(F: MultiClauseSet, method: str = "auto") -> SatResult:
     if method == "fpt":
         outcome = sat_fpt(F)
         return SatResult(outcome.satisfiable, outcome.witness)
-    if method == "auto":
-        if assignment_space(F) <= AUTO_BRUTE_LIMIT:
-            witness = brute_force_sat(F)
-            return SatResult(witness is not None, witness)
-        outcome = sat_fpt(F)
-        return SatResult(outcome.satisfiable, outcome.witness)
     raise ValueError(f"unknown method {method!r}")
 
 
-def implies(F: MultiClauseSet, clause: Clause, method: str = "auto") -> bool:
+def implies(F: MultiClauseSet, clause: Clause) -> bool:
     """Whether every model of F satisfies the clause."""
     phi = clause_to_assignment(clause)
-    return not decide(apply(phi, F), method).satisfiable
+    return not decide(apply(phi, F)).satisfiable
 
 
-def is_irredundant(F: MultiClauseSet, method: str = "auto") -> bool:
+def is_irredundant(F: MultiClauseSet) -> bool:
     """No clause of F is implied by the remaining ones."""
     for clause in F.clauses():
         items = dict(F.items())
         items[clause] -= 1
-        if implies(F.with_clauses(items), clause, method):
+        if implies(F.with_clauses(items), clause):
             return False
     return True
 
 
-def is_minimally_unsatisfiable(F: MultiClauseSet, method: str = "auto") -> bool:
+def is_minimally_unsatisfiable(F: MultiClauseSet) -> bool:
     """Unsatisfiable, and every clause removal makes it satisfiable."""
-    return not decide(F, method).satisfiable and is_irredundant(F, method)
+    return not decide(F).satisfiable and is_irredundant(F)

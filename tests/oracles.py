@@ -833,7 +833,7 @@ def _widen(clause: Clause, v: int, value: int) -> Clause:
     return Clause(tuple(clause) + (Literal(v, value),))
 
 
-def reference_saturate(F: MultiClauseSet, method: str = "auto") -> MultiClauseSet:
+def reference_saturate(F: MultiClauseSet) -> MultiClauseSet:
     """The former musat.saturate: greedy saturation of a minimally
     unsatisfiable clause-set.
 
@@ -846,7 +846,7 @@ def reference_saturate(F: MultiClauseSet, method: str = "auto") -> MultiClauseSe
     and saturation would be unreachable.  The result extends each input
     clause (possibly trivially).  Raises ValueError on non-MU input.
     """
-    if not is_minimally_unsatisfiable(F, method):
+    if not is_minimally_unsatisfiable(F):
         raise ValueError("saturate needs a minimally unsatisfiable input")
     table = F.table
     clauses = [c for c, _ in F.items()]
@@ -862,7 +862,7 @@ def reference_saturate(F: MultiClauseSet, method: str = "auto") -> MultiClauseSe
                     trial = list(clauses)
                     trial[idx] = _widen(clause, v, value)
                     G = MultiClauseSet(table, {c: 1 for c in trial})
-                    if not decide(G, method).satisfiable:
+                    if not decide(G).satisfiable:
                         clause = trial[idx]
                         clauses[idx] = clause
                         changed = True
@@ -870,7 +870,7 @@ def reference_saturate(F: MultiClauseSet, method: str = "auto") -> MultiClauseSe
     return F.with_clauses({c: 1 for c in clauses})
 
 
-def reference_is_saturated_mu(F: MultiClauseSet, method: str = "auto") -> bool:
+def reference_is_saturated_mu(F: MultiClauseSet) -> bool:
     """The former musat.is_saturated_mu: minimally unsatisfiable and no
     literal addition keeps it unsatisfiable.
 
@@ -879,7 +879,7 @@ def reference_is_saturated_mu(F: MultiClauseSet, method: str = "auto") -> bool:
     collapses the two, which leaves a satisfiable proper subset, so such
     additions count as rendering the set satisfiable.
     """
-    if not is_minimally_unsatisfiable(F, method):
+    if not is_minimally_unsatisfiable(F):
         return False
     table = F.table
     for clause in F.clauses():
@@ -890,6 +890,6 @@ def reference_is_saturated_mu(F: MultiClauseSet, method: str = "auto") -> bool:
             for value in table.domain(v):
                 G = MultiClauseSet(
                     table, {c: 1 for c in rest + [_widen(clause, v, value)]})
-                if not decide(G, method).satisfiable:
+                if not decide(G).satisfiable:
                     return False
     return True

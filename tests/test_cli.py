@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import subprocess
@@ -93,6 +94,20 @@ class TestExitCodes:
         code, out, _ = run(capsys, "solve", "--method", method,
                            write(tmp_path, UNSAT_TEXT))
         assert (code, out) == (20, "s UNSATISFIABLE\n")
+
+
+class TestStandardInput:
+    @pytest.mark.parametrize("argv, text", [
+        (("analyze",), SAT_TEXT),
+        (("solve",), SAT_TEXT),
+        (("solve",), UNSAT_TEXT),
+    ])
+    def test_dash_reads_what_the_path_reads(self, tmp_path, capsys, monkeypatch,
+                                            argv, text):
+        by_path = run(capsys, *argv, write(tmp_path, text))
+        assert by_path[1]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, *argv, "-") == by_path
 
 
 class TestEncodeThenAnalyze:

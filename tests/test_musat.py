@@ -1,5 +1,7 @@
 """Tests for minimal unsatisfiability at deficiency one."""
 
+import contextlib
+import functools
 import heapq
 import itertools
 import random
@@ -20,7 +22,7 @@ from gcls import (
     is_matching_lean,
     max_deficiency,
 )
-from gcls import musat
+from gcls import musat, satdec
 from gcls.cli import emit_gcls, main
 from gcls.encode import complete_graph, hypergraph_coloring
 from gcls.musat import (
@@ -248,6 +250,8 @@ class TestDeficiencyOneTree:
         b = N(1, [LEAF, N(2, [LEAF])])
         assert a == b and hash(a) == hash(b)
         assert a != N(1, [N(2, [LEAF]), LEAF])
+        assert a.__eq__((1, (LEAF, LEAF))) is NotImplemented
+        assert a != (1, (LEAF, LEAF))
 
 
 class TestTreeToClauseSet:
@@ -779,9 +783,9 @@ class TestSaturate:
         F = horn_chain(12)
         calls = []
 
-        def counting(G, method="auto"):
-            calls.append(method)
-            return decide(G, method)
+        def counting(G):
+            calls.append(G)
+            return decide(G)
 
         monkeypatch.setattr(musat, "decide", counting)
         saturate(F)
@@ -790,27 +794,38 @@ class TestSaturate:
         assert bound == 145 and len(calls) <= bound
 
 
+@contextlib.contextmanager
+def deciding_with(method):
+    """Within the block, every ``decide`` call of satdec, musat and the
+    oracles runs the given back-end."""
+    fixed = functools.partial(decide, method=method)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (satdec, musat, oracles):
+            patch.setattr(module, "decide", fixed)
+        yield
+
+
 class TestSaturationAgainstReference:
     """saturate and is_saturated_mu agree with the literal sweeps they
     replaced, and every saturated result checks as saturated."""
 
-    def agree(self, F, method="auto"):
+    def agree(self, F):
         """Check one input; whether saturation added literals."""
-        saturated = is_saturated_mu(F, method)
-        assert saturated == oracles.reference_is_saturated_mu(F, method), \
+        saturated = is_saturated_mu(F)
+        assert saturated == oracles.reference_is_saturated_mu(F), \
             dict(F.items())
         try:
-            expected = oracles.reference_saturate(F, method)
+            expected = oracles.reference_saturate(F)
         except ValueError:
             with pytest.raises(ValueError):
-                saturate(F, method)
+                saturate(F)
             return False
-        G = saturate(F, method)
+        G = saturate(F)
         assert G == expected, dict(F.items())
         if G == F:
             assert saturated
             return False
-        assert is_saturated_mu(G, method)
+        assert is_saturated_mu(G)
         return True
 
     @pytest.mark.parametrize("build", [
@@ -827,16 +842,44 @@ class TestSaturationAgainstReference:
         for n in range(4, 13):
             assert self.agree(horn_chain(n))
 
+    def test_deciding_with_reaches_every_query(self, monkeypatch):
+        # the MU layer and the references ask only the chosen back-end
+        # inside the block, and "auto" (brute force here) after it
+        used = []
+
+        def spy(name):
+            back_end = getattr(satdec, name)
+
+            def counted(G):
+                used.append(name)
+                return back_end(G)
+            monkeypatch.setattr(satdec, name, counted)
+
+        for name in ("brute_force_sat", "sat_bounded_deficiency", "sat_fpt"):
+            spy(name)
+        F = two_var_mu2()
+        for method, name in (("bounded", "sat_bounded_deficiency"),
+                             ("fpt", "sat_fpt"), ("auto", "brute_force_sat")):
+            used.clear()
+            with deciding_with(method):
+                assert is_saturated_mu(F)
+                assert oracles.reference_is_saturated_mu(F)
+            assert used and set(used) == {name}
+        used.clear()
+        assert is_saturated_mu(F) and set(used) == {"brute_force_sat"}
+
     @pytest.mark.parametrize("k, method", [
         (3, "auto"), (3, "bounded"), (3, "fpt"), (4, "auto"), (5, "auto"),
     ])
     def test_pigeonhole(self, k, method):
-        assert not self.agree(pigeonhole(k), method)
+        with deciding_with(method):
+            assert not self.agree(pigeonhole(k))
 
     @pytest.mark.parametrize("method", ["auto", "fpt"])
     def test_eliminated_images(self, method):
-        widened = sum(self.agree(F, method)
-                      for F in eliminated_images(random.Random(404), 40, 8))
+        with deciding_with(method):
+            widened = sum(self.agree(F) for F in
+                          eliminated_images(random.Random(404), 40, 8))
         assert widened >= 8
 
 
@@ -850,14 +893,15 @@ def test_widening_is_the_backbone_of_the_other_clauses(rng, method):
     assume(F.c > 1)  # the trivial tree, which hypothesis's random draws favour
     table, clauses = F.table, F.clauses()
     candidates = [v for v in sorted(F.var_set()) if table.domain_size(v) >= 2]
-    for idx, clause in enumerate(clauses):
-        rest = F.with_clauses({c: 1 for c in clauses if c != clause})
-        outside = [v for v in candidates if not clause.has_var(v)]
-        models = oracles.brute_models(rest)
-        expected = [(v, models[0][v]) for v in outside if v in rest.var_set()
-                    and len({phi[v] for phi in models}) == 1]
-        assert list(_backbone(rest, outside, method)) == expected
-    G = saturate(F, method)
+    with deciding_with(method):
+        for idx, clause in enumerate(clauses):
+            rest = F.with_clauses({c: 1 for c in clauses if c != clause})
+            outside = [v for v in candidates if not clause.has_var(v)]
+            models = oracles.brute_models(rest)
+            expected = [(v, models[0][v]) for v in outside if v in rest.var_set()
+                        and len({phi[v] for phi in models}) == 1]
+            assert list(_backbone(rest, outside)) == expected
+        G = saturate(F)
     for clause in G.clauses():
         rest = {c: 1 for c in G.clauses() if c != clause}
         for v in candidates:

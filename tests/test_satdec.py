@@ -335,16 +335,16 @@ class TestImplication:
     def test_own_clauses_are_implied(self):
         _, _, f2 = mixed_example()
         for c in f2.clauses():
-            assert implies(f2, c, method="brute")
+            assert implies(f2, c)
 
     def test_unsatisfiable_instances_imply_everything(self):
         _, f1, _ = mixed_example()
-        assert implies(f1, BOT, method="brute")
-        assert implies(f1, Clause([(3, 0)]), method="brute")
+        assert implies(f1, BOT)
+        assert implies(f1, Clause([(3, 0)]))
 
     def test_strict_subclause_is_not_implied(self):
         _, _, f2 = mixed_example()
-        assert not implies(f2, Clause([(1, 0)]), method="brute")
+        assert not implies(f2, Clause([(1, 0)]))
 
     def test_random_agreement(self):
         rng = random.Random(607)
@@ -356,31 +356,31 @@ class TestImplication:
             chosen = rng.sample(vs, rng.randint(1, min(2, len(vs))))
             clause = Clause((v, rng.randrange(F.table.domain_size(v)))
                             for v in chosen)
-            assert (implies(F, clause, method="brute")
+            assert (implies(F, clause)
                     == oracles.brute_implies(F, clause))
 
 
 class TestIrredundancyAndMinimalUnsatisfiability:
     def test_mixed_example_classification(self):
         _, f1, f2 = mixed_example()
-        assert is_irredundant(f1, method="brute")
-        assert is_minimally_unsatisfiable(f1, method="brute")
-        assert not is_minimally_unsatisfiable(f2, method="brute")
-        assert not is_irredundant(f1 + f2, method="brute")
+        assert is_irredundant(f1)
+        assert is_minimally_unsatisfiable(f1)
+        assert not is_minimally_unsatisfiable(f2)
+        assert not is_irredundant(f1 + f2)
 
     def test_bottom_is_minimally_unsatisfiable(self):
-        assert is_minimally_unsatisfiable(bottom_only(), method="brute")
+        assert is_minimally_unsatisfiable(bottom_only())
 
     def test_full_combinations_are_minimally_unsatisfiable(self):
-        assert is_minimally_unsatisfiable(full_combinations(), method="brute")
+        assert is_minimally_unsatisfiable(full_combinations())
 
     def test_random_agreement(self):
         rng = random.Random(608)
         for _ in range(40):
             F = oracles.random_instance(rng, max_n=4, max_c=6)
-            assert (is_irredundant(F, method="brute")
+            assert (is_irredundant(F)
                     == oracles.brute_is_irredundant(F))
-            assert (is_minimally_unsatisfiable(F, method="brute")
+            assert (is_minimally_unsatisfiable(F)
                     == oracles.brute_is_minimally_unsatisfiable(F))
 
 

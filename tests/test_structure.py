@@ -219,6 +219,15 @@ class TestConflictMatrix:
         with pytest.raises(ValueError, match="negative"):
             ConflictMatrix([[0, -1], [-1, 0]])
 
+    def test_rows_equality_hash_and_repr(self):
+        M = ConflictMatrix([[0, 2], [2, 0]])
+        same = ConflictMatrix(((0, 2), (2, 0)))
+        assert (M[0], M[1]) == M.rows() == ((0, 2), (2, 0))
+        assert M == same and hash(M) == hash(same) and len({M, same}) == 1
+        assert repr(M) == "ConflictMatrix([[0, 2], [2, 0]])"
+        assert M.__eq__(M.rows()) is NotImplemented
+        assert M != M.rows()
+
     def test_built_matrix_passes_the_public_checks(self):
         # conflict_matrix skips the checks of the public constructor; a
         # rebuild through it must accept the rows and give an equal matrix.
