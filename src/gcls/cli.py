@@ -51,7 +51,6 @@ from .satdec import (
 )
 from .structure import classify_hitting, conflict_inertia
 from .translate import (
-    Key,
     TranslationResult,
     direct_strong,
     direct_weak,
@@ -216,14 +215,18 @@ def parse_gcls(text: str) -> MultiClauseSet:
     return MultiClauseSet(VariableTable(sizes), multiplicities)
 
 
-def _clause_lines(pairs: Iterable[Tuple[Key, int]],
-                  names: Mapping[int, Sequence[str]]) -> List[str]:
+def _clause_lines(pairs: Iterable[Tuple[tuple, int]],
+                  names: Union[Sequence[str], Mapping[Tuple[int, int], str]]
+                  ) -> List[str]:
     """One line per clause occurrence: ``pairs`` are (key, multiplicity) in
-    output order, a key being a clause's literals ascending, and literal
-    (v, e) prints as names[v][e]."""
+    output order, a key being a clause's literals ascending, and a literal
+    prints as names[literal].  A translation's key holds literal codes
+    (``translate.Key``) and names is a list indexed by code; a clause-set's
+    key holds ``Literal`` pairs and names is a dict."""
     lines: List[str] = []
+    name = names.__getitem__
     for key, mult in pairs:
-        body = " ".join([names[v][e] for v, e in key])
+        body = " ".join(map(name, key))
         lines.extend([f"{body} 0" if body else "0"] * mult)
     return lines
 
@@ -240,7 +243,7 @@ def emit_gcls(F: MultiClauseSet) -> str:
     sizes = F.table._sizes  # ascending by variable
     lines = [f"p gcls {max(sizes, default=0)} {F.c}"]
     lines.extend([f"d {v} {size}" for v, size in sizes.items()])
-    names = {v: [f"{v}:{e}" for e in range(size)] for v, size in sizes.items()}
+    names = {(v, e): f"{v}:{e}" for v, size in sizes.items() for e in range(size)}
     lines.extend(_clause_lines(_sorted_keys(F), names))
     return "\n".join(lines) + "\n"
 
@@ -267,19 +270,23 @@ def emit_dimacs(source: Union[TranslationResult, DimacsFile]) -> str:
     Literal b avoiding value 0 prints as the positive literal b, avoiding
     value 1 as -b.  A clause of multiplicity m produces m identical lines.
     A translation prints from its image keys, without building its boolean
-    clause-set.
+    clause-set: code 2*b prints as b and code 2*b + 1 as -b.
     """
+    names: Union[List[str], Dict[Tuple[int, int], str]]
     if isinstance(source, TranslationResult):
         comments = _mapping_comments(source)
-        variables: Iterable[int] = source.var_map
+        nvars = max(source.var_map, default=0)
         pairs = sorted(source.image.items())
+        names = [text for b in range(nvars + 1) for text in (str(b), str(-b))]
     else:
         comments, cnf = source
-        variables, pairs = cnf.table._sizes, _sorted_keys(cnf)
-    nvars = max(variables, default=0)
+        nvars = max(cnf.table._sizes, default=0)
+        pairs = _sorted_keys(cnf)
+        names = {(b, bit): str(-b if bit else b)
+                 for b in cnf.table._sizes for bit in (0, 1)}
     lines = list(comments)
     lines.append(f"p cnf {nvars} {sum([m for _, m in pairs])}")
-    lines.extend(_clause_lines(pairs, {b: (str(b), str(-b)) for b in variables}))
+    lines.extend(_clause_lines(pairs, names))
     return "\n".join(lines) + "\n"
 
 

@@ -24,22 +24,24 @@ literal (b, 0) ("b != 0") and a negative one is (b, 1).  Assignments move in
 both directions: push_assignment turns an assignment of source variables
 into one of block variables, lift_assignment inverts that, block by block.
 
-A built-in scheme is one pattern per domain size (per size and value order
-for nested): the gadget's by-value and extra clauses as sorted tuples of
-(offset, bit) pairs over the offsets 0 .. width-1, built once per call.
-``_allocate`` gives the occurring source variables contiguous blocks that
-ascend with the variable, and shifts each pattern onto its block.  The image
-is one dict from keys -- the sorted literal tuple of a boolean clause -- to
-multiplicities.  Invariant: since the blocks are contiguous and ascend with
-the source variable, and every shifted pattern clause is sorted, the
+Inside a translation a boolean literal (b, bit) is the int code 2*b + bit,
+and a boolean clause is its key: the sorted tuple of its literals' codes.
+Codes sort exactly as the (b, bit) pairs do.  A built-in scheme is one
+pattern per domain size (per size and value order for nested): the gadget's
+by-value and extra clauses as keys over the offsets 0 .. width-1, built once
+per call.  ``_allocate`` gives the occurring source variables contiguous
+blocks that ascend with the variable, and shifts each pattern clause onto
+its block by adding 2*base to every code.  The image is one dict from keys
+to multiplicities.  Invariant: since the blocks are contiguous and ascend
+with the source variable, and every shifted pattern clause is sorted, the
 concatenation of a source clause's gadget clauses, taken in ascending source
 variable order, is sorted; so no key needs a sort.  ``generic`` is the
 exception: its caller-chosen blocks need not ascend, so it sorts each key.
 
 A ``TranslationResult`` holds the image, the variable map and the shifted
 patterns, which is all that printing the image needs.  The boolean
-clause-set, the gadgets as ``Clause`` objects and the inverse variable map
-are built from them on first access.
+clause-set and the gadgets as ``Clause`` objects are decoded from the codes
+on first access; the inverse variable map is also built on first access.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .core import (
     PartialAssignment,
     VariableTable,
     _clause,
-    _literal,
     _Trusted,
 )
 from .satdec import brute_force_sat
@@ -74,8 +75,8 @@ __all__ = [
     "reduced",
 ]
 
-#: A gadget clause or image clause as its literals, ascending.
-Key = Tuple[Tuple[int, int], ...]
+#: A gadget clause or image clause as its literal codes 2*b + bit, ascending.
+Key = Tuple[int, ...]
 
 
 class VariableGadget(NamedTuple):
@@ -96,10 +97,15 @@ class VariableGadget(NamedTuple):
         return self.by_value + self.extra
 
 
-def _gadget_clause(key: Key) -> Clause:
-    """The clause of a key of ``Literal`` objects over distinct variables:
-    no clash can occur, so the clause keeps them without re-checking."""
-    return _clause(dict(key), key)
+def _key(literals: Iterable[Tuple[int, int]]) -> Key:
+    """The key of boolean (b, bit) literals: their codes 2*b + bit, sorted."""
+    return tuple(sorted([2 * b + bit for b, bit in literals]))
+
+
+def _decode(key: Key) -> Clause:
+    """The clause of a key over distinct variables: no clash can occur, so
+    the clause is built without re-checking."""
+    return _clause({code >> 1: code & 1 for code in key})
 
 
 class TranslationResult:
@@ -109,14 +115,15 @@ class TranslationResult:
     Built eagerly: ``scheme``; ``source_table``; ``var_map``, which maps each
     boolean variable b to (v, j) when b is the j-th variable of the block of
     source variable v; and ``image``, which maps each image clause, as its
-    key (its literals ascending), to its multiplicity.  Built on first
-    access: ``boolean_cnf`` (the image as a ``MultiClauseSet`` over every
-    block variable), ``gadgets`` (with ``Clause`` objects) and
-    ``inverse_map`` (the inverse of ``var_map``).  Printing needs only the
-    eager part.  A built-in scheme's key is the concatenation of the shifted
-    pattern clauses of its source clause's literals, in ascending source
-    variable order; it is sorted because the blocks are contiguous and
-    ascend with the source variable.
+    key (the codes 2*b + bit of its literals (b, bit), ascending), to its
+    multiplicity.  Built on first access: ``boolean_cnf`` (the image
+    decoded as a ``MultiClauseSet`` over every block variable),
+    ``gadgets`` (decoded into ``Clause`` objects) and ``inverse_map`` (the
+    inverse of ``var_map``).
+    Printing needs only the eager part.  A built-in scheme's key is the
+    concatenation of the shifted pattern clauses of its source clause's
+    literals, in ascending source variable order; it is sorted because the
+    blocks are contiguous and ascend with the source variable.
     """
 
     __slots__ = ("scheme", "source_table", "var_map", "image", "_keyed",
@@ -145,7 +152,7 @@ class TranslationResult:
         if self._boolean_cnf is None:
             table = VariableTable(dict.fromkeys(self.var_map, 2))
             self._boolean_cnf = MultiClauseSet(table, _Trusted(
-                [(_clause(dict(key), key), m) for key, m in self.image.items()]))
+                [(_decode(key), m) for key, m in self.image.items()]))
         return self._boolean_cnf
 
     @property
@@ -153,8 +160,8 @@ class TranslationResult:
         if self._gadgets is None:
             self._gadgets = {
                 v: VariableGadget(g.variables,
-                                  tuple(map(_gadget_clause, g.by_value)),
-                                  tuple(map(_gadget_clause, g.extra)))
+                                  tuple(map(_decode, g.by_value)),
+                                  tuple(map(_decode, g.extra)))
                 for v, g in self._keyed.items()}
         return self._gadgets
 
@@ -172,8 +179,8 @@ _DIRECT_SCHEMES = ("direct-weak", "direct-strong")
 
 
 class _Pattern(NamedTuple):
-    """A gadget over the block offsets 0 .. width-1; its clauses are sorted
-    tuples of (offset, bit) pairs."""
+    """A gadget over the block offsets 0 .. width-1; its clauses are keys,
+    the literal (offset, bit) coded as 2*offset + bit."""
 
     width: int
     by_value: Tuple[Key, ...]
@@ -181,18 +188,18 @@ class _Pattern(NamedTuple):
 
 
 def _direct_pattern(k: int, strong: bool) -> _Pattern:
-    extra = (tuple((j, 1) for j in range(k)),)
+    extra = (tuple(2 * j + 1 for j in range(k)),)
     if strong:
-        extra += tuple(((i, 0), (j, 0))
+        extra += tuple((2 * i, 2 * j)
                        for i, j in itertools.combinations(range(k), 2))
-    return _Pattern(k, tuple(((j, 0),) for j in range(k)), extra)
+    return _Pattern(k, tuple((2 * j,) for j in range(k)), extra)
 
 
 def _nested_pattern(k: int, order: Sequence[int]) -> _Pattern:
     """The Horn chain E_1 .. E_k over k-1 offsets, E_i given to the value
     order[i-1]."""
-    neg = tuple((j, 1) for j in range(k - 1))
-    chain = [neg[:i] + ((i, 0),) for i in range(k - 1)] + [neg]
+    neg = tuple(2 * j + 1 for j in range(k - 1))
+    chain = [neg[:i] + (2 * i,) for i in range(k - 1)] + [neg]
     by_value = [()] * k
     for position, value in enumerate(order):
         by_value[value] = chain[position]
@@ -200,15 +207,15 @@ def _nested_pattern(k: int, order: Sequence[int]) -> _Pattern:
 
 
 def _reduced_pattern(k: int) -> _Pattern:
-    units = tuple(((j, 0),) for j in range(k - 1))
-    return _Pattern(k - 1, units + (tuple((j, 1) for j in range(k - 1)),))
+    units = tuple((2 * j,) for j in range(k - 1))
+    return _Pattern(k - 1, units + (tuple(2 * j + 1 for j in range(k - 1)),))
 
 
 def _logarithmic_pattern(k: int) -> _Pattern:
     """Value i maps to the full clause falsified by the big-endian code i."""
     width = (k - 1).bit_length()
-    full = [tuple((j, (code >> (width - 1 - j)) & 1) for j in range(width))
-            for code in range(2 ** width)]
+    full = [tuple(2 * j + ((i >> (width - 1 - j)) & 1) for j in range(width))
+            for i in range(2 ** width)]
     return _Pattern(width, tuple(full[:k]), tuple(full[k:]))
 
 
@@ -218,19 +225,20 @@ def _logarithmic_pattern(k: int) -> _Pattern:
 def _allocate(F: MultiClauseSet, pattern: Callable[[int], _Pattern]
               ) -> Dict[int, VariableGadget]:
     """Per occurring source variable v, ascending, the pattern(v) shifted
-    onto the next contiguous block, as a gadget with its clauses as keys."""
+    onto the next contiguous block, as a gadget with its clauses as keys:
+    offset o of a block at base is variable base + o, so a code shifts by
+    2*base."""
     keyed: Dict[int, VariableGadget] = {}
     next_id = 1
     for v in sorted(F.var_set()):
         width, by_value, extra = pattern(v)
         base = next_id
         next_id += width
-
-        def shift(clause: Key) -> Key:
-            return tuple([_literal((base + o, bit)) for o, bit in clause])
-        keyed[v] = VariableGadget(tuple(range(base, next_id)),
-                                  tuple(map(shift, by_value)),
-                                  tuple(map(shift, extra)))
+        shift = (2 * base).__add__
+        keyed[v] = VariableGadget(
+            tuple(range(base, next_id)),
+            tuple([tuple(map(shift, clause)) for clause in by_value]),
+            tuple([tuple(map(shift, clause)) for clause in extra]))
     return keyed
 
 
@@ -244,9 +252,10 @@ def _image(F: MultiClauseSet, keyed: Mapping[int, VariableGadget],
     by_value = {v: g.by_value for v, g in keyed.items()}
     image: Dict[Key, int] = {}
     for clause, mult in F._clauses.items():
+        by_var = clause._by_var
         key: Key = ()
-        for v, e in sorted(clause._by_var.items()):
-            key += by_value[v][e]
+        for v in sorted(by_var):
+            key += by_value[v][by_var[v]]
         if not ascending:
             key = tuple(sorted(key))
         image[key] = image.get(key, 0) + mult
@@ -403,8 +412,8 @@ def generic(F: MultiClauseSet,
     for v in sorted(F.var_set()):
         g = gadgets[v]
         keyed[v] = VariableGadget(tuple(g.variables),
-                                  tuple(tuple(sorted(Clause(c))) for c in g.by_value),
-                                  tuple(tuple(sorted(Clause(c))) for c in g.extra))
+                                  tuple(_key(Clause(c)) for c in g.by_value),
+                                  tuple(_key(Clause(c)) for c in g.extra))
     return TranslationResult("generic", F.table, keyed, _image(F, keyed, False))
 
 
@@ -420,15 +429,18 @@ def push_assignment(translation: TranslationResult,
     schemes the block gets the first assignment that satisfies every gadget
     clause except the chosen value's (thereby falsifying exactly that one).
     """
+    direct = translation.scheme in _DIRECT_SCHEMES
+    # the direct schemes read only the blocks, which need no decoding
+    gadgets = translation._keyed if direct else translation.gadgets
     bindings: Dict[int, int] = {}
     for v in sorted(phi):
-        gadget = translation._keyed.get(v)
+        gadget = gadgets.get(v)
         if gadget is None:
             raise ValueError(f"variable {v} is not part of the translation")
         value = phi[v]
         if value not in translation.source_table.domain(v):
             raise ValueError(f"value {value} is outside the domain of {v}")
-        if translation.scheme in _DIRECT_SCHEMES:
+        if direct:
             for j, b in enumerate(gadget.variables):
                 bindings[b] = 0 if j == value else 1
             continue
@@ -460,13 +472,15 @@ def lift_assignment(translation: TranslationResult,
     all (a domain-1 source variable under nested/reduced/logarithmic, where
     nothing needs encoding) always resolves to its single value.
     """
+    direct = translation.scheme in _DIRECT_SCHEMES
+    gadgets = translation._keyed if direct else translation.gadgets
     values: Dict[int, int] = {}
-    for v in sorted(translation._keyed):
-        gadget = translation._keyed[v]
+    for v in sorted(gadgets):
+        gadget = gadgets[v]
         bound = {b: psi[b] for b in gadget.variables if b in psi}
         if gadget.variables and not bound:
             continue
-        if translation.scheme in _DIRECT_SCHEMES:
+        if direct:
             zeros = [j for j, b in enumerate(gadget.variables)
                      if bound.get(b) == 0]
             if not zeros:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from gcls import cli, core
+from gcls import cli, core, translate
 from gcls.cli import (emit_dimacs, emit_gcls, main, parse_dimacs, parse_gcls,
                       parse_hypergraph)
 from gcls.core import PartialAssignment
@@ -322,6 +322,44 @@ class TestTranslateBuildsNoBooleanObjects:
         assert len(printed) == len(runs)
         for t in printed:
             assert (t._boolean_cnf, t._gadgets, t._inverse_map) == (None,) * 3
+
+
+class TestTranslatePrintsLiteralCodes:
+    def test_cmd_translate_decodes_no_key(self, tmp_path, capsys, monkeypatch):
+        F = vdw_instance(3, 3, 8)
+        path = write(tmp_path, emit_gcls(F))
+        decoded = []
+        decode = translate._decode
+
+        def counted(key):
+            decoded.append(key)
+            return decode(key)
+
+        printed = []
+
+        def emit(translation):
+            printed.append(translation)
+            return emit_dimacs(translation)
+
+        monkeypatch.setattr(translate, "_decode", counted)
+        monkeypatch.setattr(cli, "emit_dimacs", emit)
+        runs = [["--scheme", scheme] for scheme in sorted(cli._SCHEMES)]
+        runs.append(["--scheme", "nested", "--order-by-occurrences"])
+        for argv in runs:
+            code, out, _ = run(capsys, "translate", *argv, path)
+            assert code == 0 and out == emit_dimacs(printed[-1])
+        # the print path reads the codes alone: no Literal is decoded
+        assert decoded == []
+        orders = [None] * (len(runs) - 1) + [cli._occurrence_order(F)]
+        for t, order in zip(printed, orders):
+            gadgets = oracles.reference_gadgets(F, t.scheme, order)
+            ref = oracles.reference_translate(F, gadgets, t.scheme)
+            assert t.boolean_cnf.items() == ref.boolean_cnf.items()
+            assert len(decoded) == len(t.image)
+            assert t.gadgets == gadgets
+            assert len(decoded) == len(t.image) + sum(
+                len(g.clauses()) for g in gadgets.values())
+            decoded.clear()
 
 
 class TestModuleEntryPoint:

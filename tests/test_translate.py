@@ -26,6 +26,7 @@ from gcls.musat import tree_to_clause_set
 from gcls.satdec import brute_force_sat, is_autarky
 from gcls.translate import (
     VariableGadget,
+    _key,
     direct_strong,
     direct_weak,
     generic,
@@ -537,7 +538,7 @@ class TestImageKeyEdgeCases:
         assert "  " not in text and " \n" not in text
         lines = text.splitlines()
         assert lines.count("0") == 3  # three source clauses, one empty image
-        image_of_2_1 = t.gadgets[2].by_value[1].sort_key()
+        image_of_2_1 = _key(t.gadgets[2].by_value[1])
         assert t.image[image_of_2_1] == 4
 
     def test_an_image_clause_equal_to_an_extra_clause_adds_up(self):
@@ -551,7 +552,7 @@ class TestImageKeyEdgeCases:
         }
         t = generic(F, gadgets)
         text = self.assert_former_text(t, F, gadgets)
-        assert t.image[((1, 0),)] == 3
+        assert t.image[_key([(1, 0)])] == 3
         assert text.splitlines().count("1 0") == 3
 
 
