@@ -51,6 +51,7 @@ from .satdec import (
 )
 from .structure import classify_hitting, conflict_inertia
 from .translate import (
+    Key,
     TranslationResult,
     direct_strong,
     direct_weak,

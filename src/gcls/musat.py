@@ -18,9 +18,10 @@ have a complete structure theory, and this module implements it:
   a variable all of whose values occur exactly once, so the reduction
   never stalls on genuine members.  The pass always eliminates the
   cheapest singular variable (fewest occurrences, ties by index), kept in
-  a lazy heap.  It runs on the r-reduction's literal index and its one
-  singular-DP step (``reductions._ReductionState.singular_step``), so each
-  step costs about the size of the clauses on the eliminated variable.
+  a lazy heap.  It runs on the r-reduction's literal index, its one
+  singular-DP step (``reductions._ReductionState.singular_step``) and its
+  one update path, ``change``, so each step costs about the size of the
+  clauses on the eliminated variable.
 
 * ``classify_mu1`` -- splits the class into its two extremes and the rest:
   the saturated members (no literal can be added to any clause without
@@ -238,16 +239,16 @@ def recognize_mu1(F: MultiClauseSet) -> Mu1Verdict:
     (``reductions._ReductionState``), and each step is its
     ``singular_step``, which is degenerate when a resolvent clashes, is
     already a clause, or repeats.  The candidates sit in a lazy heap keyed
-    by (occurrences, variable), to which a variable returns whenever its
-    counts change.  Updates go clause by clause through ``_set``, without
-    the neighbour marking of ``change``: the root of a chain image occurs in
-    every clause, so marking would cost the whole image per step.  So a step
-    costs about the size of the clauses on the eliminated variable, not a
-    scan of the whole clause-set.
+    by (occurrences, variable).  Each step goes through ``change``, and the
+    variables it marks dirty -- those of the changed clauses, since no
+    verdict is filed under a resolvent here -- go back on the heap with
+    their new counts.  So a step costs about the size of the clauses on the
+    eliminated variable, not a scan of the whole clause-set.
     """
     if any(mult > 1 for _, mult in F.items()):
         return Mu1Verdict("not_mu1", (), "a repeated clause is redundant")
     state = _ReductionState(F)
+    state.dirty.clear()
     occ = state.occ
     heap = [(sum(map(len, slots)), v) for v, slots in occ.items()]
     heapq.heapify(heap)
@@ -267,13 +268,10 @@ def recognize_mu1(F: MultiClauseSet) -> Mu1Verdict:
         if update is None:
             return Mu1Verdict("not_mu1", tuple(steps),
                               f"degenerate elimination of variable {v}")
-        touched = set()
-        for clause, m in update.items():
-            state._set(clause, m)
-            if m:
-                touched.update(clause._by_var)
-        for w in touched:
+        state.change(update)
+        for w in state.dirty & occ.keys():
             heapq.heappush(heap, (sum(map(len, occ[w])), w))
+        state.dirty.clear()
     return Mu1Verdict("mu1", tuple(steps))
 
 

@@ -309,10 +309,14 @@ class _ReductionState:
     occurring variable v to one dict per value e, holding the clauses with
     the literal (v, e) and their multiplicities.  ``singular_step`` is the
     one singular-DP step, shared by the reduction loop and ``musat.
-    recognize_mu1``.  In the loop and in ``pure_variable_elimination`` every
-    step goes through ``change``, which updates both in place and marks
-    dirty the variables whose rule verdicts it may change; ``retest_dirty``
-    recomputes those verdicts from the index.
+    recognize_mu1``.  Every step goes through ``change``, which updates both
+    in place and marks dirty exactly the variables whose verdicts read a
+    changed clause; ``retest_dirty`` recomputes those verdicts.  The pure
+    and singular verdicts on v read the clauses on v; the redundant-copy
+    verdict also reads whether each resolvent on v is a clause, so it files
+    v under each resolvent's hash in ``waiting`` (``reads`` is the inverse),
+    and a re-test drops those entries first.  An equal hash only costs a
+    spare re-test.
 
     ``units`` is None unless the loop's unit rule is on.  Then it is a stack
     of unit clauses: those of the instance at loop start, and each one that
@@ -333,6 +337,8 @@ class _ReductionState:
         self.singular: set = set()
         self.redundant: Dict[int, Clause] = {}
         self.dirty: set = set()
+        self.waiting: Dict[int, set] = {}
+        self.reads: Dict[int, set] = {}
         self.current: Optional[MultiClauseSet] = F
         for clause, m in F._clauses.items():
             self._set(clause, m)
@@ -360,37 +366,17 @@ class _ReductionState:
                     del self.occ[v]
 
     def change(self, multiplicities: Dict[Clause, int]) -> None:
-        """Give clauses new multiplicities and mark the dirty variables.
-
-        The verdicts on v read only the clauses on v and whether each
-        resolvent on v is a clause.  Such a resolvent holds only neighbours
-        of v, so a changed clause can affect v only when v or a neighbour of
-        v occurs in it -- or when it is the empty clause.  A change that
-        only lowers multiplicities leaves the resolvents of a v it does not
-        touch alone and makes fewer of them clauses; that can withdraw a
-        redundant clause of v but never find one, so then, besides the
-        touched variables, only those with a redundant clause are marked.
-        """
-        touched = set()
-        grows = False
+        """Give clauses new multiplicities and mark the dirty variables: those
+        of each changed clause, and those whose verdict read it as a
+        resolvent (``waiting``)."""
         for clause, m in multiplicities.items():
-            grows = grows or m > self.mult.get(clause, 0)
             self._set(clause, m)
-            if not clause:
-                touched.update(self.occ)
-            touched.update(clause._by_var)
+            self.dirty.update(clause._by_var)
+            self.dirty.update(self.waiting.get(hash(clause), ()))
         if self.units is not None:
             self.units.extend(clause for clause, m in multiplicities.items()
                               if m and len(clause) == 1)
         self.current = None
-        self.dirty |= touched
-        if not grows:
-            self.dirty.update(self.redundant)
-            return
-        for v in touched:
-            for slot in self.occ.get(v, ()):
-                for clause in slot:
-                    self.dirty.update(clause._by_var)
 
     def remove_touched(self, phi: PartialAssignment) -> None:
         """Apply an autarky: it satisfies, and so removes, every clause it touches."""
@@ -410,6 +396,10 @@ class _ReductionState:
 
     def retest_dirty(self) -> None:
         for v in self.dirty:
+            for h in self.reads.pop(v, ()):
+                self.waiting[h].discard(v)
+                if not self.waiting[h]:
+                    del self.waiting[h]
             self.pure.discard(v)
             self.singular.discard(v)
             self.redundant.pop(v, None)
@@ -439,6 +429,7 @@ class _ReductionState:
         value when every resolvent clashes or is a clause already; or one of
         several clauses of the main value whose one resolvent clashes, is a
         clause already, or is also the resolvent of another combination.
+        v is filed in ``waiting`` under the hash of each resolvent.
         """
         found = {main: None if R is None else frozenset(R.items())
                  for main, R in _singular_combinations(v, slots)}
@@ -446,6 +437,10 @@ class _ReductionState:
         for R in found.values():
             if R is not None:
                 (twice if R in seen else seen).add(R)
+        if seen:
+            self.reads[v] = set(map(hash, seen))
+            for h in self.reads[v]:
+                self.waiting.setdefault(h, set()).add(v)
         all_kept = all(R is None or R in self.mult for R in found.values())
         redundant = [
             clause for slot in slots for clause in slot
@@ -456,12 +451,12 @@ class _ReductionState:
         return min(redundant, key=Clause.sort_key, default=None)
 
     def singular_step(self, v: int) -> Optional[Dict[Clause, int]]:
-        """Singular DP on v as an update for ``change`` or ``_set``: the
-        clauses on v go (multiplicity 0) and their resolvents come in
-        (multiplicity 1).  None when the step is degenerate: a resolvent
-        clashes, is already a clause, or repeats.  The clauses on v must
-        each have multiplicity one; then a non-degenerate step drops the
-        clause count by exactly |D_v| - 1.
+        """Singular DP on v as an update for ``change``: the clauses on v go
+        (multiplicity 0) and their resolvents come in (multiplicity 1).
+        None when the step is degenerate: a resolvent clashes, is already a
+        clause, or repeats.  The clauses on v must each have multiplicity
+        one; then a non-degenerate step drops the clause count by exactly
+        |D_v| - 1.
         """
         slots = self.occ[v]
         update = {c: 0 for slot in slots for c in slot}

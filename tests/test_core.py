@@ -540,6 +540,31 @@ def test_package_exports_each_module_name_once():
         getattr(gcls, name)
 
 
+def test_every_annotation_resolves():
+    """``typing.get_type_hints`` resolves the annotations of every function
+    and method written in the package's modules: each name they use is
+    bound in the module that reads them."""
+    import importlib
+    import inspect
+    import typing
+
+    checked = 0
+    for name in ("cli", "core", "encode", "matching", "musat", "reductions",
+                 "satdec", "structure", "translate"):
+        module = importlib.import_module(f"gcls.{name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for member in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                # not the __new__ that NamedTuple writes for a class
+                if (inspect.isfunction(member)
+                        and member.__code__.co_filename == module.__file__):
+                    typing.get_type_hints(member)
+                    checked += 1
+    assert checked >= 250  # seen: 258
+
+
 def test_modules_import_only_the_standard_library():
     """The package declares no runtime dependencies (``dependencies = []``)."""
     import ast

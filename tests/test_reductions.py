@@ -22,8 +22,8 @@ from gcls.matching import (
     quasi_maximal_matching_autarky,
     surplus,
 )
-from gcls.musat import tree_to_clause_set
-from gcls.satdec import sat_bounded_deficiency
+from gcls.musat import LEAF, DeficiencyOneTree, tree_to_clause_set
+from gcls.satdec import sat_bounded_deficiency, sat_fpt
 from gcls.translate import direct_weak
 from gcls.reductions import (
     AutarkyStep,
@@ -736,6 +736,28 @@ class TestReductionAgainstReference:
             fewer += len(want) > len(got)
         assert lifted >= 2500 and fewer >= 30, (lifted, fewer)  # seen: 2 844 and 40
 
+    def test_resolvent_index_after_each_retest(self, monkeypatch):
+        """After each re-test, ``waiting`` and ``reads`` are inverse maps over
+        int hashes, and only singular variables have read resolvents."""
+        retest = _ReductionState.retest_dirty
+        filed = 0
+
+        def checked(state):
+            nonlocal filed
+            retest(state)
+            pairs = {(h, v) for h, vs in state.waiting.items() for v in vs}
+            assert pairs == {(h, v) for v, hs in state.reads.items() for h in hs}
+            assert all(state.waiting.values()) and all(state.reads.values())
+            assert all(type(h) is int for h in state.waiting)
+            assert state.reads.keys() <= state.singular
+            filed += len(pairs)
+
+        monkeypatch.setattr(_ReductionState, "retest_dirty", checked)
+        for F in self.samples():
+            r_reduction_with_log(F)
+            s_reduction_with_log(F, units=True)
+        assert filed >= 10000, filed  # seen: 34 990
+
     def test_pure_variable_elimination(self):
         for F in self.samples():
             G = pure_variable_elimination(F)
@@ -758,3 +780,49 @@ class TestReductionAgainstReference:
         assert [step_record(s) for s in steps] == [
             step_record(s) for s in reference_r_reduce(F)[1]]
         assert G.clauses() == (BOT,)
+
+
+def complete_tree_image(arity, depth):
+    """The image of the complete tree of that arity and depth, its nodes
+    labelled 1, 2, ... level by level from the bottom."""
+    level, label = [LEAF] * arity ** depth, 1
+    while len(level) > 1:
+        nodes = []
+        for i in range(0, len(level), arity):
+            nodes.append(DeficiencyOneTree.node(label, level[i:i + arity]))
+            label += 1
+        level = nodes
+    return tree_to_clause_set(level[0])
+
+
+class TestRetestsFollowTheDirtyRule:
+    """A verdict is re-tested only when a clause it read has changed, so a
+    singular-DP step on a tree image re-tests the variables of the clauses
+    it changes, not their neighbours as well."""
+
+    @pytest.fixture
+    def retests(self, monkeypatch):
+        count = [0]
+        retest = _ReductionState.retest_dirty
+
+        def counted(state):
+            count[0] += len(state.dirty)
+            retest(state)
+
+        monkeypatch.setattr(_ReductionState, "retest_dirty", counted)
+        return count
+
+    @pytest.mark.parametrize("arity, depth", [(2, 7), (3, 5)])
+    def test_r_reduction_retests_at_most_ell(self, retests, arity, depth):
+        F = complete_tree_image(arity, depth)
+        assert r_reduction(F).clauses() == (BOT,)
+        # seen: 896 of ell 896 and 668 of ell 1 215
+        assert retests[0] <= F.ell, (retests[0], F.ell)
+
+    @pytest.mark.parametrize("arity, depth", [(2, 7), (3, 5)])
+    def test_sat_fpt_retests_at_most_three_ell(self, retests, arity, depth):
+        F = complete_tree_image(arity, depth)
+        assert sat_fpt(F).node_count == 1
+        bound = 3 * direct_weak(F).boolean_cnf.ell
+        # seen: 1 909 of 3 x 1 150 and 2 352 of 3 x 1 578
+        assert retests[0] <= bound, (retests[0], bound)
